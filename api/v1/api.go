@@ -171,15 +171,16 @@ const (
 	// DemandRequested prices each VM at its reservation (the default).
 	DemandRequested = "requested"
 	// DemandP95 prices each VM at the p95 of its windowed telemetry demand
-	// (snapshot fallback) — the same chain the online optimizer plans with,
-	// so a demand=p95 dry run predicts the online service's packing.
+	// (snapshot fallback). The online optimizer prices at the max of this
+	// and the reservation, against residual node capacity, so a demand=p95
+	// dry run may pack tighter than the online service will.
 	DemandP95 = "p95"
 )
 
 // ConsolidationRequest is the POST /v1/consolidations body: compute a
 // migration plan packing the currently running VMs onto fewer hosts
-// (Section III). The plan is a dry run — executing it stays with the GMs'
-// periodic reconfiguration policy and the online optimizer.
+// (Section III). The plan is a dry run — the GMs' online consolidation
+// optimizer is what executes migrations.
 type ConsolidationRequest struct {
 	// Algorithm selects the solver: "aco" (default), "ffd" or "optimal".
 	Algorithm string `json:"algorithm,omitempty"`

@@ -217,10 +217,9 @@ func FromConsolidationCtl(resp protocol.ConsolidationCtlResponse) ConsolidationS
 type DemandFunc func(vm VM) types.ResourceVector
 
 // P95Demand builds a DemandFunc over a telemetry hub at the given
-// runtime-relative instant. It prices through view.ConsolidationDemand —
-// the identical chain (p95 windowed demand, snapshot fallback, reservation)
-// the online consolidation optimizer plans with, so both backends' dry runs
-// and the online service cannot drift.
+// runtime-relative instant. It prices through view.ConsolidationDemand (p95
+// windowed demand, snapshot fallback, reservation), so both backends' dry
+// runs price VMs identically.
 func P95Demand(hub *telemetry.Hub, now time.Duration) DemandFunc {
 	b := view.Builder{Hub: hub}
 	return func(vm VM) types.ResourceVector {

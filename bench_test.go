@@ -13,6 +13,7 @@ import (
 
 	"snooze/internal/cluster"
 	"snooze/internal/consolidation"
+	"snooze/internal/consolidation/online"
 	"snooze/internal/coord"
 	"snooze/internal/election"
 	"snooze/internal/experiments"
@@ -162,53 +163,23 @@ func benchPlacements(b *testing.B, batch int) {
 	b.ReportMetric(float64(placed)/b.Elapsed().Seconds(), "placements/s")
 }
 
-// BenchmarkFleetRelocationScan measures the wall cost of periodic
-// reconfiguration scans over a populated fleet — with the group-wide view
-// epoch gate on (default) vs recomputing every scan (DisableScanGating).
-// The reconfiguration period deliberately outpaces monitor ingestion:
-// between report bursts nothing moves, which is exactly the condition the
-// epoch gate detects and skips. The solver runs dry (plan discarded) so the
-// fleet stays quiescent instead of churning on migrations, isolating the
-// scan overhead itself.
-func BenchmarkFleetRelocationScan(b *testing.B) {
-	b.Run("gated", func(b *testing.B) { benchRelocationScan(b, true) })
-	b.Run("ungated", func(b *testing.B) { benchRelocationScan(b, false) })
-}
-
-// dryRunReconfig pays the full consolidation-scan cost (problem build, demand
-// estimates, FFD solve) and then reports no plan, keeping the benchmarked
-// fleet free of migration churn.
-type dryRunReconfig struct{ inner consolidation.FFD }
-
-var errDryRun = fmtError("bench: dry-run reconfiguration, plan discarded")
-
-type fmtError string
-
-func (e fmtError) Error() string { return string(e) }
-
-func (dryRunReconfig) Name() string { return "dry-run-ffd" }
-
-func (d dryRunReconfig) Solve(p consolidation.Problem) (consolidation.Result, error) {
-	if _, err := d.inner.Solve(p); err != nil {
-		return consolidation.Result{}, err
-	}
-	return consolidation.Result{}, errDryRun
-}
-
-func benchRelocationScan(b *testing.B, gated bool) {
+// BenchmarkFleetConsolidationScan measures the wall cost of the GMs' online
+// consolidation loop over a populated fleet. The round period deliberately
+// outpaces monitor ingestion: between report bursts nothing moves, which is
+// exactly the condition the view-epoch gate detects and skips without
+// rebuilding or re-solving the problem.
+func BenchmarkFleetConsolidationScan(b *testing.B) {
 	skipInShort(b)
 	cfg := cluster.DefaultConfig(workload.Grid5000Topology(256, 16), 77)
 	cfg.Manager.DispatchBatch = 32
-	cfg.Manager.Reconfig = dryRunReconfig{inner: consolidation.FFD{Key: consolidation.SortCPU}}
-	cfg.Manager.ReconfigPeriod = 250 * time.Millisecond
-	cfg.Manager.DisableScanGating = !gated
+	cfg.Manager.Consolidation = online.Config{Enabled: true, Period: 250 * time.Millisecond}
 	c := cluster.New(cfg)
 	c.Settle(30 * time.Second)
 	if _, err := c.SubmitAndWait(workload.NewGenerator(7, nil).Batch(512), time.Hour); err != nil {
 		b.Fatal(err)
 	}
 	c.Settle(time.Minute)
-	skips0 := c.Metrics.Count("gm.reconfig-skipped-unchanged")
+	skips0 := c.Metrics.Count("gm.consolidation-skips-unchanged")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,7 +187,7 @@ func benchRelocationScan(b *testing.B, gated bool) {
 	}
 	b.StopTimer()
 	simSecs := float64(b.N) * 10
-	b.ReportMetric(float64(c.Metrics.Count("gm.reconfig-skipped-unchanged")-skips0)/simSecs, "skips/simsec")
+	b.ReportMetric(float64(c.Metrics.Count("gm.consolidation-skips-unchanged")-skips0)/simSecs, "skips/simsec")
 }
 
 // ---------------------------------------------------------------------------

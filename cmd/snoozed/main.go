@@ -89,7 +89,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "control role: record every Nth decision trace (<=1 records all)")
 	dispatchBatch := flag.Int("dispatch-batch", 0, "control role: max VMs the GL coalesces into one placement request per GM (<=1 sequential dispatch)")
 	admissionOrder := flag.String("admission-order", "", "control role: batched-dispatch admission order (ffd = largest-first packing, arrival = submission order)")
-	exactReduce := flag.Bool("exact-reduce", false, "control role: answer telemetry quantiles by exact sort instead of mergeable sketches (reference mode)")
 	rollupInterval := flag.Duration("rollup-interval", 0, "control role: GM rollup series debounce (0 = heartbeat period; <0 disables rollups)")
 	stateSyncPeriod := flag.Duration("state-sync-period", 0, "control role: GM->GL telemetry state-sync period for warm failover (0 = auto: off on this process's shared hub; >0 forces; <0 disables)")
 	migrationRetries := flag.Int("migration-retries", 0, "control role: total migration attempts before abandoning (0 = default 3)")
@@ -134,7 +133,7 @@ func main() {
 		// raw ring per series backed by the downsampled retention tiers.
 		tel := telemetry.NewHub(telemetry.Options{
 			Metrics: reg,
-			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers, ExactReduce: *exactReduce},
+			Store:   telemetry.StoreConfig{SeriesCapacity: *seriesCapacity, Tiers: tiers},
 		})
 		svc := coord.NewService(rt)
 		// One decision tracer per control process: every manager records its

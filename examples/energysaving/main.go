@@ -1,5 +1,5 @@
 // Energy saving: the paper's thesis in one run — spreading VMs across
-// moderately loaded nodes leaves nothing to suspend; add periodic ACO
+// moderately loaded nodes leaves nothing to suspend; add the GMs' online ACO
 // consolidation and idle servers appear, get suspended, and the cluster
 // draws less power (Section III).
 package main
@@ -29,10 +29,7 @@ func run(consolidate bool) (kwh float64, suspended int) {
 	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
 	cfg.Manager.EnergyEnabled = true
 	cfg.Manager.IdleThreshold = 2 * time.Minute
-	if consolidate {
-		cfg.Manager.Reconfig = snooze.NewACOAlgorithm(snooze.DefaultACOConfig())
-		cfg.Manager.ReconfigPeriod = 20 * time.Minute
-	}
+	cfg.Manager.Consolidation.Enabled = consolidate
 
 	c := snooze.NewCluster(cfg)
 	c.Settle(30 * time.Second)

@@ -285,10 +285,6 @@ func mergeDefaults(mcfg hierarchy.ManagerConfig) hierarchy.ManagerConfig {
 	if mcfg.PendingTimeout > 0 {
 		def.PendingTimeout = mcfg.PendingTimeout
 	}
-	def.Reconfig = mcfg.Reconfig
-	if mcfg.ReconfigPeriod > 0 {
-		def.ReconfigPeriod = mcfg.ReconfigPeriod
-	}
 	def.RescheduleOnLCFailure = mcfg.RescheduleOnLCFailure
 	if mcfg.VMLivenessGrace != 0 {
 		def.VMLivenessGrace = mcfg.VMLivenessGrace
@@ -304,7 +300,6 @@ func mergeDefaults(mcfg hierarchy.ManagerConfig) hierarchy.ManagerConfig {
 	if mcfg.RollupInterval != 0 {
 		def.RollupInterval = mcfg.RollupInterval
 	}
-	def.DisableScanGating = mcfg.DisableScanGating
 	if mcfg.StateSyncPeriod != 0 {
 		def.StateSyncPeriod = mcfg.StateSyncPeriod
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"snooze/internal/consolidation"
+	"snooze/internal/consolidation/online"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
 	"snooze/internal/types"
@@ -13,13 +13,13 @@ import (
 )
 
 // These tests exercise whole-system behaviours that combine several
-// subsystems: periodic reconfiguration driving live migrations, robustness
+// subsystems: online consolidation driving live migrations, robustness
 // to message loss, and the energy manager's wake paths.
 
-func TestReconfigurationConsolidatesLiveCluster(t *testing.T) {
+func TestOnlineConsolidationPacksLiveCluster(t *testing.T) {
 	top := workload.Grid5000Topology(8, 1)
 	cfg := DefaultConfig(top, 21)
-	// Spread placement, then let periodic ACO reconfiguration pack it. VMs
+	// Spread placement, then let the online ACO optimizer pack it. VMs
 	// demand 50% of their reservation so a fully packed node sits at 50%
 	// measured utilization — consolidation and overload protection must not
 	// fight (packing to 100% measured WOULD re-trigger overload relocation,
@@ -28,9 +28,8 @@ func TestReconfigurationConsolidatesLiveCluster(t *testing.T) {
 	reg.Register("half", workload.FlatTrace{Fraction: 0.5})
 	cfg.Hypervisor.Traces = reg
 	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
-	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0} // isolate reconfig
-	cfg.Manager.Reconfig = consolidation.ACO{Config: consolidation.DefaultACOConfig()}
-	cfg.Manager.ReconfigPeriod = 2 * time.Minute
+	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0} // isolate consolidation
+	cfg.Manager.Consolidation = online.Config{Enabled: true}
 	c := New(cfg)
 	c.Settle(30 * time.Second)
 
@@ -50,21 +49,21 @@ func TestReconfigurationConsolidatesLiveCluster(t *testing.T) {
 		t.Fatalf("fixture: round-robin should spread, occupied=%d", occupiedBefore)
 	}
 
-	c.Settle(10 * time.Minute) // several reconfiguration rounds
+	c.Settle(10 * time.Minute) // several consolidation rounds
 	occupiedAfter := occupiedNodes(c)
 	if occupiedAfter >= occupiedBefore {
-		t.Fatalf("reconfiguration did not consolidate: %d -> %d nodes", occupiedBefore, occupiedAfter)
+		t.Fatalf("consolidation did not pack: %d -> %d nodes", occupiedBefore, occupiedAfter)
 	}
 	// 8 VMs × (2 CPU, 4096 MB) on 8-CPU/32-GB nodes: 2 nodes suffice.
 	if occupiedAfter > 3 {
 		t.Fatalf("weak consolidation: still %d nodes", occupiedAfter)
 	}
-	if c.Metrics.Count("gm.reconfig-migrations") == 0 {
-		t.Fatal("no reconfiguration migrations recorded")
+	if c.Metrics.Count("gm.consolidation-migrations") == 0 {
+		t.Fatal("no consolidation migrations recorded")
 	}
 	// No VM lost in the shuffle.
 	if c.RunningVMs() != 8 {
-		t.Fatalf("running VMs after reconfiguration: %d", c.RunningVMs())
+		t.Fatalf("running VMs after consolidation: %d", c.RunningVMs())
 	}
 }
 

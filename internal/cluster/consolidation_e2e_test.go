@@ -113,6 +113,51 @@ func TestOnlineConsolidationImprovesPackingUnderChurn(t *testing.T) {
 	}
 }
 
+// TestOnlineConsolidationDiurnalDay runs experiment E5's quick shape on the
+// optimizer: 16 diurnal VMs spread round-robin over 10 LCs, idle suspend on,
+// one virtual day of an hour. The optimizer plans against the residual
+// capacity the hypervisor admits migrations by, so every migration it issues
+// lands, it still packs, and no VM is lost.
+func TestOnlineConsolidationDiurnalDay(t *testing.T) {
+	const day = time.Hour
+	cfg := DefaultConfig(workload.Grid5000Topology(10, 1), 5000)
+	reg := workload.NewRegistry()
+	for i := 0; i < 16; i++ {
+		reg.Register(fmt.Sprintf("t%d", i), workload.DiurnalTrace{
+			Low: 0.05, High: 0.75, MemFraction: 0.5,
+			Period: day, Phase: time.Duration(i) * day / 64,
+		})
+	}
+	cfg.Hypervisor.Traces = reg
+	cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
+	cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
+	cfg.Manager.EnergyEnabled = true
+	cfg.Manager.IdleThreshold = 2 * time.Minute
+	cfg.Manager.Consolidation = online.Config{Enabled: true}
+	c := New(cfg)
+	c.Settle(30 * time.Second)
+	vms := workload.NewGenerator(11, []workload.VMClass{
+		{Name: "std", Capacity: types.RV(2, 4096, 50, 50), Weight: 1},
+	}).Batch(16)
+	for i := range vms {
+		vms[i].TraceID = fmt.Sprintf("t%d", i)
+	}
+	if resp, err := c.SubmitAndWait(vms, time.Hour); err != nil || len(resp.Placed) != 16 {
+		t.Fatalf("submit: %+v %v", resp, err)
+	}
+	c.Settle(day)
+
+	if failed := c.Metrics.Count("gm.migrations-failed"); failed != 0 {
+		t.Fatalf("gm.migrations-failed = %d, want 0", failed)
+	}
+	if migs := c.Metrics.Count("gm.consolidation-migrations"); migs == 0 {
+		t.Fatal("no consolidation migrations recorded")
+	}
+	if n := c.RunningVMs(); n != 16 {
+		t.Fatalf("running VMs after the day: %d, want 16", n)
+	}
+}
+
 // TestOnlineConsolidationCancelsOnTrendReversal forces the scenario the
 // cancellation gates exist for: a plan computed from a still-hot p95 window
 // while the actual load has just collapsed. Four VMs run hot long enough to

@@ -1,12 +1,13 @@
 // Package online runs consolidation as a continuous control loop — the
 // paper's headline use of the ACO packer inside the autonomic GL/GM/LC
-// hierarchy (Feller & Morin, Sections II-C and III) — instead of the one-shot
-// dry run the api/v1 surface started with.
+// hierarchy (Feller & Morin, Sections II-C and III), and the GMs' only
+// consolidation loop.
 //
-// Each round the Optimizer builds its packing problem from live capacity
-// views (scheduling/view): VM demand is the p95 of the windowed per-VM
-// series, falling back to the snapshot when history is thin, never raw
-// points. The problem is solved by parallel ant colonies
+// Each round the Optimizer takes a Snapshot from its Host (the GM): every
+// running VM priced at the max of its reservation and its p95 windowed demand,
+// every schedulable node sized at its residual capacity — what the
+// hypervisor will actually admit a migration against. The problem is solved
+// by parallel ant colonies
 // (consolidation.ParallelACO — independent colonies on goroutines sharing a
 // deterministic best-plan exchange), and the resulting incremental plan is
 // capped by a per-round migration budget. Plan execution is a small state
@@ -114,8 +115,8 @@ func (c Config) withDefaults() Config {
 }
 
 // VMDemand prices one running VM for the packing problem: its spec, its
-// current node and the demand estimate the round plans against (p95 of the
-// windowed series, snapshot fallback — see Host.ConsolidationSnapshot).
+// current node and the demand the round plans against (see
+// Host.ConsolidationSnapshot).
 type VMDemand struct {
 	Spec   types.VMSpec
 	Node   types.NodeID
@@ -124,6 +125,8 @@ type VMDemand struct {
 
 // NodeLoad is one schedulable node plus its current view statistics.
 type NodeLoad struct {
+	// Spec is the node; in a Snapshot its Capacity is the room the round may
+	// pack into.
 	Spec types.NodeSpec
 	// P95 and Trend summarize the node's windowed "util" series; Fresh
 	// reports whether they are trustworthy (view.Stats semantics). Stale
@@ -334,22 +337,29 @@ func (o *Optimizer) tick() {
 	o.runRound(gen, snap)
 }
 
-// runRound solves the packing problem and starts plan execution.
-func (o *Optimizer) runRound(gen uint64, snap Snapshot) {
+// Problem converts the snapshot into the packing problem a round solves:
+// every VM sized at its Demand, every node at its Spec capacity, plus the
+// current placement and the demand-sized specs keyed by VM.
+func (s Snapshot) Problem() (consolidation.Problem, types.Placement, map[types.VMID]types.VMSpec) {
 	problem := consolidation.Problem{}
 	current := types.Placement{}
 	specs := map[types.VMID]types.VMSpec{}
-	for _, n := range snap.Nodes {
+	for _, n := range s.Nodes {
 		problem.Nodes = append(problem.Nodes, n.Spec)
 	}
-	for _, vm := range snap.VMs {
+	for _, vm := range s.VMs {
 		spec := vm.Spec
 		spec.Requested = vm.Demand
 		problem.VMs = append(problem.VMs, spec)
 		current[vm.Spec.ID] = vm.Node
 		specs[vm.Spec.ID] = spec
 	}
+	return problem, current, specs
+}
 
+// runRound solves the packing problem and starts plan execution.
+func (o *Optimizer) runRound(gen uint64, snap Snapshot) {
+	problem, current, specs := snap.Problem()
 	cfg := o.cfg.ACO
 	// Derive the round seed deterministically so rounds differ but replay.
 	cfg.Seed = cfg.Seed + int64(o.roundNumber())*1000003
@@ -375,6 +385,8 @@ func (o *Optimizer) runRound(gen uint64, snap Snapshot) {
 	// those are the moves that actually free hosts.
 	if b := o.cfg.MigrationBudget; b > 0 && len(plan) > b {
 		plan = budgetedPlan(current, result.Placement, specs, problem.Nodes, b)
+	} else {
+		plan = feasiblePrefix(plan, current, specs, problem.Nodes)
 	}
 	info.Planned = len(plan)
 	if len(plan) == 0 {
@@ -400,7 +412,9 @@ func (o *Optimizer) runRound(gen uint64, snap Snapshot) {
 // real packing progress: complete source evacuations, cheapest source first,
 // with a partial evacuation of the next source if budget remains (the leftover
 // VMs make that source cheaper for the following round). Moves between hosts
-// the target keeps active are dropped — they never change the host count.
+// the target keeps active are dropped — they never change the host count —
+// so a selected move may need room only a dropped move would free; the plan
+// ends before the first such move.
 func budgetedPlan(current, target types.Placement, specs map[types.VMID]types.VMSpec, nodes []types.NodeSpec, budget int) []types.Migration {
 	survivors := make(map[types.NodeID]bool, len(target))
 	for _, node := range target {
@@ -443,9 +457,32 @@ func budgetedPlan(current, target types.Placement, specs map[types.VMID]types.VM
 		}
 	}
 	// Re-derive a feasibility-ordered sequence for exactly the selected moves.
-	plan := consolidation.Plan(current, partial, specs, nodes)
+	plan := feasiblePrefix(consolidation.Plan(current, partial, specs, nodes), current, specs, nodes)
 	if len(plan) > budget {
 		plan = plan[:budget]
+	}
+	return plan
+}
+
+// feasiblePrefix returns the longest prefix of plan whose moves each fit
+// their destination once the moves before them have run. consolidation.Plan
+// appends the moves of a deadlocked cycle best-effort; the hypervisor would
+// refuse them.
+func feasiblePrefix(plan []types.Migration, current types.Placement, specs map[types.VMID]types.VMSpec, nodes []types.NodeSpec) []types.Migration {
+	free := make(map[types.NodeID]types.ResourceVector, len(nodes))
+	for _, n := range nodes {
+		free[n.ID] = n.Capacity
+	}
+	for vm, node := range current {
+		free[node] = free[node].Sub(specs[vm].Requested)
+	}
+	for i, m := range plan {
+		need := specs[m.VM].Requested
+		if !need.FitsIn(free[m.To]) {
+			return plan[:i]
+		}
+		free[m.To] = free[m.To].Sub(need)
+		free[m.From] = free[m.From].Add(need)
 	}
 	return plan
 }

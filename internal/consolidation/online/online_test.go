@@ -405,3 +405,40 @@ func TestOnlineNoImprovementIsNoOpRound(t *testing.T) {
 		t.Fatalf("migrations: %+v", h.migrations)
 	}
 }
+
+// budgetedPlan drops moves between hosts the target keeps active; a kept
+// evacuation move that needs the room one of those would free must not be
+// emitted, because it cannot run.
+func TestBudgetedPlanRunsInSequence(t *testing.T) {
+	capv := types.RV(4, 8192, 100, 100)
+	nodes := []types.NodeSpec{{ID: "a", Capacity: capv}, {ID: "b", Capacity: capv}, {ID: "c", Capacity: capv}}
+	specs := map[types.VMID]types.VMSpec{}
+	for _, id := range []types.VMID{"a1", "a2", "b1", "c1"} {
+		specs[id] = types.VMSpec{ID: id, Requested: types.RV(2, 4096, 10, 10)}
+	}
+	// a is full. The target empties c into a, which needs a1 to move to b
+	// first — a move between two surviving hosts.
+	current := types.Placement{"a1": "a", "a2": "a", "b1": "b", "c1": "c"}
+	target := types.Placement{"a1": "b", "a2": "a", "b1": "b", "c1": "a"}
+	for budget := 1; budget <= 3; budget++ {
+		plan := budgetedPlan(current, target, specs, nodes, budget)
+		if len(plan) > budget {
+			t.Fatalf("budget %d: %d moves", budget, len(plan))
+		}
+		free := map[types.NodeID]types.ResourceVector{}
+		for _, n := range nodes {
+			free[n.ID] = n.Capacity
+		}
+		for vm, node := range current {
+			free[node] = free[node].Sub(specs[vm].Requested)
+		}
+		for _, m := range plan {
+			need := specs[m.VM].Requested
+			if !need.FitsIn(free[m.To]) {
+				t.Fatalf("budget %d: move %+v does not fit (free %v) in plan %+v", budget, m, free[m.To], plan)
+			}
+			free[m.To] = free[m.To].Sub(need)
+			free[m.From] = free[m.From].Add(need)
+		}
+	}
+}

@@ -403,7 +403,7 @@ func E4ACOvsFFD(scale Scale) Result {
 
 // E5EnergySavings runs the same diurnal workload under three configurations
 // and reports total energy. Expected shape: idle-suspend beats no power
-// management; suspend + periodic ACO consolidation does at least as well.
+// management; suspend + online ACO consolidation does at least as well.
 func E5EnergySavings(scale Scale) Result {
 	nodes, gms, vms := 36, 2, 90
 	day := 4 * time.Hour
@@ -412,15 +412,15 @@ func E5EnergySavings(scale Scale) Result {
 		day = time.Hour
 	}
 	type variant struct {
-		name    string
-		energy  bool
-		reconf  bool
-		suspend time.Duration
+		name        string
+		energy      bool
+		consolidate bool
+		suspend     time.Duration
 	}
 	variants := []variant{
 		{name: "no-power-mgmt"},
 		{name: "idle-suspend", energy: true, suspend: 2 * time.Minute},
-		{name: "suspend+consolidation", energy: true, reconf: true, suspend: 2 * time.Minute},
+		{name: "suspend+consolidation", energy: true, consolidate: true, suspend: 2 * time.Minute},
 	}
 	tb := metrics.NewTable("config", "kWh", "suspends", "wakes", "migrations", "running-VMs", "saved%")
 	var baseline float64
@@ -438,20 +438,16 @@ func E5EnergySavings(scale Scale) Result {
 		cfg.Hypervisor.Traces = reg
 		// Round-robin placement (the paper's load-balancing example policy)
 		// spreads VMs across LCs; the consolidation variant then shows how
-		// much reconfiguration can claw back. Underload relocation is
-		// disabled here so the consolidation contribution is isolated —
+		// much the GMs' online optimizer can claw back. Underload relocation
+		// is disabled here so the consolidation contribution is isolated —
 		// moderately loaded nodes are exactly the population Section II-C
-		// says reconfiguration targets. (Event-based underload relocation
+		// says consolidation targets. (Event-based underload relocation
 		// is exercised in E3 and the cluster tests.)
 		cfg.Manager.Placement = &scheduling.RoundRobinPlacement{}
 		cfg.LC.Thresholds = scheduling.Thresholds{Overload: 0.95, Underload: 0}
 		cfg.Manager.EnergyEnabled = v.energy
 		cfg.Manager.IdleThreshold = v.suspend
-		if v.reconf {
-			acoCfg := consolidation.DefaultACOConfig()
-			cfg.Manager.Reconfig = consolidation.ACO{Config: acoCfg}
-			cfg.Manager.ReconfigPeriod = day / 8
-		}
+		cfg.Manager.Consolidation.Enabled = v.consolidate
 		c := cluster.New(cfg)
 		c.Settle(30 * time.Second)
 		gen := workload.NewGenerator(11, []workload.VMClass{

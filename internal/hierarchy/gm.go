@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"snooze/internal/consolidation"
 	"snooze/internal/obs"
 	"snooze/internal/protocol"
 	"snooze/internal/scheduling"
@@ -19,8 +18,9 @@ import (
 )
 
 // This file implements the Group Manager role: monitoring reception, demand
-// estimation, VM placement, overload/underload relocation, energy
-// management and periodic reconfiguration (Sections II-B, II-C, III).
+// estimation, VM placement, overload/underload relocation and energy
+// management (Sections II-B, II-C, III). Consolidation lives in
+// gm_consolidation.go.
 
 // becomeGMLocked (re)activates the GM role against the given GL address.
 func (m *Manager) becomeGMLocked(gl transport.Address) {
@@ -51,9 +51,6 @@ func (m *Manager) becomeGMLocked(gl transport.Address) {
 		// One bootstrap check covers LCs that linger from an earlier GM stint.
 		m.energyUnsub = m.tel.Journal().Observe(m.onEnergyEvent)
 		m.scheduleEnergyCheckLocked(m.rt.Now() + m.cfg.IdleThreshold)
-	}
-	if m.cfg.Reconfig != nil && m.cfg.ReconfigPeriod > 0 {
-		m.addTicker(m.cfg.ReconfigPeriod, m.gmReconfigTick)
 	}
 	if m.cfg.Consolidation.Enabled {
 		// The continuous consolidation service runs for the duration of the
@@ -401,9 +398,6 @@ func (m *Manager) activeStatusesLocked() []types.NodeStatus {
 // reused build may carry.
 func (m *Manager) activeViewsLocked() []view.Node {
 	now := m.rt.Now()
-	if m.cfg.DisableScanGating {
-		return m.views.Nodes(now, m.activeStatusesLocked())
-	}
 	if nodes, ok := m.viewMemo.Get(m.viewEpoch, now, m.cfg.HeartbeatPeriod); ok {
 		return nodes
 	}
@@ -801,8 +795,7 @@ func (m *Manager) executeMovesLocked(moves []scheduling.Move, parent obs.SpanCon
 // migrateVMLocked issues one live migration, maintaining busy markers and the
 // optimistic reservation shift; done is invoked exactly once with the
 // outcome, never while m.mu is held. It is the single migration primitive —
-// relocation, reconfiguration and the online consolidation optimizer all
-// funnel through it.
+// relocation and the online consolidation optimizer both funnel through it.
 func (m *Manager) migrateVMLocked(mv types.Migration, done func(ok bool)) {
 	m.migrateVMTracedLocked(mv, obs.SpanContext{}, done)
 }
@@ -866,6 +859,8 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 	m.rt.After(0, func() {
 		m.bus.Call(m.cfg.Addr, srcAddr, protocol.KindMigrateVM, mreq, m.cfg.CallTimeout,
 			func(reply any, err error) {
+				ack, isAck := reply.(protocol.MigrateVMResponse)
+				failed := err != nil || !isAck || !ack.OK
 				m.mu.Lock()
 				if s, ok := m.lcs[from]; ok && s.busy > 0 {
 					s.busy--
@@ -874,11 +869,15 @@ func (m *Manager) migrateAttemptLocked(mv types.Migration, sc obs.SpanContext, a
 					if d.busy > 0 {
 						d.busy--
 					}
+					if failed {
+						// Roll back the optimistic reservation shift: a
+						// retry re-adds it, so a leak would compound.
+						d.status.Reserved = d.status.Reserved.Sub(spec.Requested).Max(types.ResourceVector{})
+					}
 				}
 				m.bumpViewEpochLocked()
 				m.mu.Unlock()
-				ack, isAck := reply.(protocol.MigrateVMResponse)
-				if err != nil || !isAck || !ack.OK {
+				if failed {
 					m.mark("gm.migrations-failed", 1)
 					if attempt < m.migrationAttempts() {
 						// Bounded retry: back off and re-issue. The endpoint
@@ -1233,68 +1232,6 @@ func (m *Manager) gmVMSweep() {
 	}
 }
 
-// gmReconfigTick runs the configured consolidation algorithm over this GM's
-// moderately loaded LCs and executes the resulting migration plan —
-// the periodic "reconfiguration" policy family of Section II-C.
-func (m *Manager) gmReconfigTick() {
-	m.mu.Lock()
-	if m.role != RoleGM || m.stopped || m.cfg.Reconfig == nil {
-		m.mu.Unlock()
-		return
-	}
-	// Epoch gate: nothing moved since the last solve (no monitor ingestion,
-	// placement, migration, sleep/wake or membership change bumped the view
-	// epoch) means the same problem would be rebuilt and re-solved for the
-	// same answer — skip the whole scan.
-	if !m.cfg.DisableScanGating && m.lastReconfigEpoch == m.viewEpoch {
-		m.mu.Unlock()
-		m.mark("gm.reconfig-skipped-unchanged", 1)
-		return
-	}
-	m.lastReconfigEpoch = m.viewEpoch
-	// Build the consolidation problem: active, non-busy LCs and their VMs
-	// with estimated demand, against residual (not full) node capacity.
-	now := m.rt.Now()
-	inputs := make([]reconfigNodeInput, 0, len(m.lcs))
-	for _, lc := range m.lcs {
-		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
-			continue
-		}
-		inputs = append(inputs, reconfigNodeInput{Status: lc.status, VMs: lc.vms})
-	}
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Status.Spec.ID < inputs[j].Status.Spec.ID })
-	problem, current, specs := buildReconfigProblem(inputs, func(vm types.VMStatus) types.ResourceVector {
-		return m.estimateVM(now, vm)
-	})
-	if len(problem.VMs) == 0 || len(problem.Nodes) < 2 {
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-
-	result, err := m.cfg.Reconfig.Solve(problem)
-	if err != nil {
-		return
-	}
-	plan := consolidation.Plan(current, result.Placement, specs, problem.Nodes)
-	if len(plan) == 0 {
-		return
-	}
-	m.mark("gm.reconfig-rounds", 1)
-	m.mark("gm.reconfig-migrations", int64(len(plan)))
-	moves := make([]scheduling.Move, 0, len(plan))
-	for _, mg := range plan {
-		moves = append(moves, scheduling.Move{VM: mg.VM, From: mg.From, To: mg.To})
-	}
-	span := m.cfg.Tracer.StartTrace(obs.KindRelocation, telemetry.GMEntity(m.cfg.ID))
-	span.SetPolicy(m.cfg.Reconfig.Name())
-	span.Annotate("origin", "reconfig")
-	m.mu.Lock()
-	m.executeMovesLocked(moves, span.Context())
-	m.mu.Unlock()
-	span.Finish("executing")
-}
-
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
@@ -1323,47 +1260,6 @@ func validMonitorReport(rep protocol.MonitorReport, now time.Duration) bool {
 		}
 	}
 	return true
-}
-
-// reconfigNodeInput is one schedulable LC's contribution to the periodic
-// consolidation problem.
-type reconfigNodeInput struct {
-	Status types.NodeStatus
-	VMs    []types.VMStatus
-}
-
-// buildReconfigProblem assembles the consolidation problem over schedulable
-// LCs. Only running VMs are re-packed; every other resident reservation —
-// VMs mid-start or suspended, and optimistic in-flight placements — is
-// subtracted from its node's capacity, so the solver plans against residual
-// room and never produces placements that conflict with residents the plan
-// cannot move (the failed-migration storms the full-capacity problem used
-// to cause). Each re-packed VM is sized at the componentwise max of its
-// reservation and its estimated demand: admission checks reservations,
-// while the estimate keeps hot VMs from being packed as if idle.
-func buildReconfigProblem(inputs []reconfigNodeInput, estimate func(types.VMStatus) types.ResourceVector) (consolidation.Problem, types.Placement, map[types.VMID]types.VMSpec) {
-	var problem consolidation.Problem
-	current := types.Placement{}
-	specs := map[types.VMID]types.VMSpec{}
-	for _, in := range inputs {
-		node := in.Status.Spec
-		var included types.ResourceVector
-		for _, vm := range in.VMs {
-			if vm.State != types.VMRunning {
-				continue
-			}
-			spec := vm.Spec
-			spec.Requested = vm.Spec.Requested.Max(estimate(vm))
-			included = included.Add(vm.Spec.Requested)
-			problem.VMs = append(problem.VMs, spec)
-			current[vm.Spec.ID] = node.ID
-			specs[vm.Spec.ID] = spec
-		}
-		foreign := in.Status.Reserved.Sub(included).Max(types.ResourceVector{})
-		node.Capacity = node.Capacity.Sub(foreign).Max(types.ResourceVector{})
-		problem.Nodes = append(problem.Nodes, node)
-	}
-	return problem, current, specs
 }
 
 func vmIDs(specs []types.VMSpec) []types.VMID {

@@ -3,10 +3,10 @@ package hierarchy
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"snooze/internal/consolidation/online"
 	"snooze/internal/protocol"
+	"snooze/internal/scheduling/view"
 	"snooze/internal/telemetry"
 	"snooze/internal/transport"
 	"snooze/internal/types"
@@ -117,54 +117,64 @@ func (m *Manager) gmOnConsolidation(req *transport.Request) {
 // documented invariant), so they may take m.mu freely.
 type gmHost struct{ m *Manager }
 
-// ConsolidationSnapshot implements online.Host: the schedulable LCs with
-// their view statistics, and every running VM priced at its p95 windowed
-// demand (snapshot fallback).
+// ConsolidationSnapshot implements online.Host: the schedulable LCs and
+// their running VMs, assembled by consolidationSnapshot.
 func (h gmHost) ConsolidationSnapshot() (online.Snapshot, bool) {
 	m := h.m
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.role != RoleGM || m.stopped {
-		m.mu.Unlock()
 		return online.Snapshot{}, false
 	}
 	now := m.rt.Now()
-	snap := online.Snapshot{Now: now}
-	if !m.cfg.DisableScanGating {
-		snap.Epoch = m.viewEpoch // zero disables the optimizer's epoch gate
-	}
+	inputs := make([]consolidationInput, 0, len(m.lcs))
 	for _, lc := range m.lcs {
 		if lc.sleeping || lc.busy > 0 || lc.status.Power != types.PowerOn {
 			continue
 		}
-		v := m.views.Node(now, lc.status)
-		snap.Nodes = append(snap.Nodes, online.NodeLoad{
-			Spec:  lc.status.Spec,
-			P95:   v.Stats.P95,
-			Trend: v.Stats.Trend,
-			Fresh: v.Stats.Fresh,
-		})
-		for _, vm := range lc.vms {
-			if vm.State != types.VMRunning {
-				continue
-			}
-			snap.VMs = append(snap.VMs, online.VMDemand{
-				Spec:   vm.Spec,
-				Node:   lc.id,
-				Demand: m.consolidationDemandLocked(now, vm),
-			})
-		}
+		inputs = append(inputs, consolidationInput{Status: lc.status, VMs: lc.vms, Stats: m.views.Node(now, lc.status).Stats})
 	}
-	m.mu.Unlock()
-	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].Spec.ID < snap.Nodes[j].Spec.ID })
-	sort.Slice(snap.VMs, func(i, j int) bool { return snap.VMs[i].Spec.ID < snap.VMs[j].Spec.ID })
+	snap := consolidationSnapshot(inputs, func(vm types.VMStatus) types.ResourceVector {
+		return m.views.ConsolidationDemand(now, vm)
+	})
+	snap.Now, snap.Epoch = now, m.viewEpoch
 	return snap, true
 }
 
-// consolidationDemandLocked prices one VM for consolidation through the
-// shared view helper (p95 windowed demand, snapshot fallback, then the
-// reservation) — the same chain the demand=p95 API dry run uses.
-func (m *Manager) consolidationDemandLocked(now time.Duration, vm types.VMStatus) types.ResourceVector {
-	return m.views.ConsolidationDemand(now, vm)
+// consolidationInput is one schedulable LC's contribution to the snapshot.
+type consolidationInput struct {
+	Status types.NodeStatus
+	VMs    []types.VMStatus
+	Stats  view.Stats
+}
+
+// consolidationSnapshot assembles the optimizer's problem over schedulable
+// LCs. Only running VMs are re-packed; every other resident reservation —
+// VMs mid-start or suspended, and optimistic in-flight placements — is
+// subtracted from its node's capacity, so the solver plans against residual
+// room and never produces placements that conflict with residents the plan
+// cannot move. Each re-packed VM is priced at the componentwise max of its
+// reservation and its demand estimate: the hypervisor admits a migration by
+// reservation, while the estimate keeps hot VMs from being packed as if idle.
+func consolidationSnapshot(inputs []consolidationInput, demand func(types.VMStatus) types.ResourceVector) online.Snapshot {
+	var snap online.Snapshot
+	for _, in := range inputs {
+		node := in.Status.Spec
+		var included types.ResourceVector
+		for _, vm := range in.VMs {
+			if vm.State != types.VMRunning {
+				continue
+			}
+			included = included.Add(vm.Spec.Requested)
+			snap.VMs = append(snap.VMs, online.VMDemand{Spec: vm.Spec, Node: node.ID, Demand: vm.Spec.Requested.Max(demand(vm))})
+		}
+		foreign := in.Status.Reserved.Sub(included).Max(types.ResourceVector{})
+		node.Capacity = node.Capacity.Sub(foreign).Max(types.ResourceVector{})
+		snap.Nodes = append(snap.Nodes, online.NodeLoad{Spec: node, P95: in.Stats.P95, Trend: in.Stats.Trend, Fresh: in.Stats.Fresh})
+	}
+	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].Spec.ID < snap.Nodes[j].Spec.ID })
+	sort.Slice(snap.VMs, func(i, j int) bool { return snap.VMs[i].Spec.ID < snap.VMs[j].Spec.ID })
+	return snap
 }
 
 // NodeLoad implements online.Host: a fresh view of one node for

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snooze/internal/consolidation"
 	"snooze/internal/consolidation/online"
 	"snooze/internal/coord"
 	"snooze/internal/election"
@@ -95,14 +94,6 @@ type ManagerConfig struct {
 	// negative disables rollups and restores summary-fed group series only.
 	RollupInterval time.Duration
 
-	// DisableScanGating turns off the group-wide view-epoch gates: the
-	// memoized activeViews build, the reconfiguration tick's skip-unchanged
-	// check and the online optimizer's epoch gate all re-run from scratch on
-	// every invocation. The default (false) keeps the gates on; the knob
-	// exists for A/B measurement (BenchmarkFleetRelocationScan) and for
-	// operators who want every scan recomputed regardless of churn.
-	DisableScanGating bool
-
 	// Demand estimation (Section II-B). Estimates are computed over the
 	// telemetry store's retained per-VM series (see view.Builder.Demand);
 	// the estimator reduces the windowed samples to one demand vector.
@@ -120,17 +111,13 @@ type ManagerConfig struct {
 	IdleThreshold  time.Duration // idle time before suspend
 	PendingTimeout time.Duration // how long a placement may wait for a wake
 
-	// Reconfiguration (periodic consolidation, Section II-C). Nil disables.
-	Reconfig       consolidation.Algorithm
-	ReconfigPeriod time.Duration
-
-	// Consolidation configures the continuous online consolidation service
-	// (internal/consolidation/online): with Enabled set, every GM stint runs
-	// an Optimizer that periodically re-packs the group's VMs from p95
-	// capacity views within a per-round migration budget. Whether or not
-	// Enabled is set, the optimizer can be started and stopped at runtime
-	// via the gm.consolidation control message (api/v1 consolidation
-	// routes).
+	// Consolidation configures the GM's consolidation loop (Section II-C,
+	// internal/consolidation/online): with Enabled set, every GM stint runs
+	// an Optimizer that periodically re-packs the group's VMs against the
+	// nodes' residual capacity within a per-round migration budget. Whether
+	// or not Enabled is set, the optimizer can be started and stopped at
+	// runtime via the gm.consolidation control message (api/v1
+	// consolidation routes).
 	Consolidation online.Config
 
 	// RescheduleOnLCFailure re-places the VMs of a failed LC on the
@@ -152,10 +139,9 @@ type ManagerConfig struct {
 
 	// MigrationRetries bounds how many times one migration is attempted
 	// before the GM gives up (journaling gm.migration-abandoned). The retry
-	// loop is shared by relocation, reconfiguration and the online
-	// consolidation optimizer — everything funnelling through the migration
-	// primitive. <=0 means a single attempt (no retries); the default is 3
-	// attempts total.
+	// loop is shared by relocation and the online consolidation optimizer —
+	// everything funnelling through the migration primitive. <=0 means a
+	// single attempt (no retries); the default is 3 attempts total.
 	MigrationRetries int
 
 	// MigrationBackoff is the base delay before a migration retry; attempt n
@@ -222,7 +208,6 @@ func DefaultManagerConfig(id types.GroupManagerID, addr transport.Address) Manag
 		EnergyEnabled:    false,
 		IdleThreshold:    30 * time.Second,
 		PendingTimeout:   60 * time.Second,
-		ReconfigPeriod:   0,
 		ElectionBase:     "/snooze/election",
 		MigrationRetries: 3,
 		MigrationBackoff: 500 * time.Millisecond,
@@ -354,9 +339,6 @@ type Manager struct {
 	// consolidation scans skip outright when it has not moved.
 	viewEpoch uint64
 	viewMemo  view.Memo
-	// lastReconfigEpoch fences gmReconfigTick: a tick finding the epoch
-	// unchanged since the last solve skips the whole consolidation scan.
-	lastReconfigEpoch uint64
 }
 
 // bumpViewEpochLocked advances the GM-wide view epoch; m.mu must be held.

@@ -9,7 +9,7 @@ import (
 	"snooze/internal/types"
 )
 
-// Reconfiguration must pack against residual capacity: reservations held by
+// Consolidation must pack against residual capacity: reservations held by
 // VMs that are NOT part of the re-packed set (suspended, starting, failed —
 // anything non-running) stay subtracted from their node's capacity, so a
 // plan can never double-book a slot a resident VM still owns.
@@ -25,7 +25,7 @@ func TestBuildReconfigProblemResidualCapacity(t *testing.T) {
 		State: types.VMSuspended,
 		Node:  "n1",
 	}
-	inputs := []reconfigNodeInput{{
+	inputs := []consolidationInput{{
 		Status: types.NodeStatus{
 			Spec: types.NodeSpec{ID: "n1", Capacity: cap},
 			// Reserved covers BOTH resident VMs.
@@ -34,7 +34,7 @@ func TestBuildReconfigProblemResidualCapacity(t *testing.T) {
 		VMs: []types.VMStatus{running, suspended},
 	}}
 	estimate := func(vm types.VMStatus) types.ResourceVector { return vm.Spec.Requested }
-	problem, current, specs := buildReconfigProblem(inputs, estimate)
+	problem, current, specs := consolidationSnapshot(inputs, estimate).Problem()
 
 	// Only the running VM is re-packed.
 	if len(problem.VMs) != 1 || problem.VMs[0].ID != "run" {
@@ -68,11 +68,11 @@ func TestBuildReconfigProblemUsesDemandEstimate(t *testing.T) {
 		Node:  "n1",
 	}
 	est := types.RV(3, 1024, 10, 10) // CPU demand outgrew the reservation
-	inputs := []reconfigNodeInput{{
+	inputs := []consolidationInput{{
 		Status: types.NodeStatus{Spec: types.NodeSpec{ID: "n1", Capacity: cap}, Reserved: vm.Spec.Requested},
 		VMs:    []types.VMStatus{vm},
 	}}
-	problem, _, specs := buildReconfigProblem(inputs, func(types.VMStatus) types.ResourceVector { return est })
+	problem, _, specs := consolidationSnapshot(inputs, func(types.VMStatus) types.ResourceVector { return est }).Problem()
 	want := vm.Spec.Requested.Max(est) // component-wise: cpu from est, mem from reservation
 	if got := problem.VMs[0].Requested; got != want {
 		t.Fatalf("sizing: got %v want %v", got, want)
@@ -133,5 +133,57 @@ func TestMigrationDelayDeterministicAndBounded(t *testing.T) {
 	}
 	if migrationDelay(base, "vm-a", 2) == migrationDelay(base, "vm-b", 2) {
 		t.Fatal("jitter does not separate VMs (hash collision in fixture is astronomically unlikely)")
+	}
+}
+
+// A failed migration attempt must hand back the reservation the GM shifted
+// onto the destination optimistically; a leak would stack one more copy per
+// retry until the next monitor report overwrote it.
+func TestFailedMigrationRollsBackReservation(t *testing.T) {
+	r := newRig(5)
+	r.manager("m0")
+	r.settle(5 * time.Second)
+	cfg := DefaultManagerConfig("m1", "mgr:m1")
+	cfg.MigrationRetries = 1
+	m1 := NewManager(r.k, r.bus, r.svc, cfg)
+	if err := m1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lc1, lc2 := r.lc("n1"), r.lc("n2")
+	r.settle(30 * time.Second)
+	if lc1.GM() != m1.Addr() || lc2.GM() != m1.Addr() {
+		t.Fatalf("fixture: LCs joined %q and %q", lc1.GM(), lc2.GM())
+	}
+	// n2 is full by reservation, so the hypervisor refuses the migration.
+	if err := r.nodes["n1"].StartVM(types.VMSpec{ID: "v1", Requested: types.RV(2, 2048, 10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.nodes["n2"].StartVM(types.VMSpec{ID: "v2", Requested: types.RV(8, 2048, 10, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	r.settle(10 * time.Second) // boot, then monitor reports reach m1
+
+	m1.mu.Lock()
+	before := m1.lcs["n2"].status.Reserved
+	if len(m1.lcs["n1"].vms) != 1 || before.CPU != 8 {
+		m1.mu.Unlock()
+		t.Fatalf("fixture: n1 VMs %+v, n2 reserved %v", m1.lcs["n1"].vms, before)
+	}
+	called := false
+	var ok bool
+	var during types.ResourceVector
+	m1.migrateVMLocked(types.Migration{VM: "v1", From: "n1", To: "n2"}, func(res bool) {
+		m1.mu.Lock()
+		during = m1.lcs["n2"].status.Reserved
+		m1.mu.Unlock()
+		called, ok = true, res
+	})
+	m1.mu.Unlock()
+	r.settle(time.Second)
+	if !called || ok {
+		t.Fatalf("migration onto a full node: called=%v ok=%v", called, ok)
+	}
+	if during != before {
+		t.Fatalf("reservation on the destination after a failed attempt: %v, want %v", during, before)
 	}
 }

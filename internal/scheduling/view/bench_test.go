@@ -80,7 +80,7 @@ func BenchmarkCapacityViewBuildUncached(b *testing.B) {
 }
 
 // BenchmarkCapacityViewBuildUncachedExact is the uncached build against a
-// store in exact-reduce reference mode: every windowed quantile pays the
+// store in ExactReduce reference mode: every windowed quantile pays the
 // sort-based reduction instead of answering from the per-series sketch — the
 // before/after for the sketch-backed statistics plane.
 func BenchmarkCapacityViewBuildUncachedExact(b *testing.B) {

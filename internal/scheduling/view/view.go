@@ -289,9 +289,7 @@ func (b Builder) Demand(now time.Duration, entity string, est resource.Estimator
 var demandP95 = resource.Percentile{P: 95}
 
 // DemandP95 reduces an entity's demand window with the p95 estimator — the
-// single demand-extraction helper shared by the consolidation dry run
-// (ConsolidationRequest demand=p95) and the online consolidation optimizer,
-// so both price VMs from the same statistic over the same window.
+// demand statistic behind ConsolidationDemand.
 func (b Builder) DemandP95(now time.Duration, entity string) (types.ResourceVector, bool) {
 	return b.Demand(now, entity, demandP95)
 }
@@ -299,9 +297,10 @@ func (b Builder) DemandP95(now time.Duration, entity string) (types.ResourceVect
 // ConsolidationDemand prices one VM for consolidation packing: the p95 of
 // its windowed demand series when history exists, else the most recent
 // snapshot measurement, else the reservation — never raw points, and never
-// zero for a running VM with a reservation. The online optimizer and the
-// ConsolidationRequest demand=p95 dry run both price through this chain, so
-// a dry-run plan predicts what the online service would execute.
+// zero for a running VM with a reservation. The ConsolidationRequest
+// demand=p95 dry run prices VMs with it; the online optimizer prices them at
+// the max of it and the reservation, because the hypervisor admits a
+// migration by reservation.
 func (b Builder) ConsolidationDemand(now time.Duration, vm types.VMStatus) types.ResourceVector {
 	if d, ok := b.DemandP95(now, telemetry.VMEntity(vm.Spec.ID)); ok && !d.Zero() {
 		return d

@@ -320,17 +320,29 @@ func (s *Sketch) Encode() Encoded {
 	return e
 }
 
-// Decode rebuilds a sketch from its encoded form. A malformed encoding
-// (count mismatch) yields an empty sketch at the encoded alpha rather than a
-// corrupt one.
+// Decode rebuilds a sketch from its encoded form. A malformed encoding — a
+// count mismatch, counts whose sum overflows, or a bucket window outside the
+// range finite values above the zero threshold can reach at the encoded
+// alpha — yields an empty sketch at that alpha rather than a corrupt one (a
+// hostile Offset would otherwise make the next Merge grow the window without
+// bound).
 func Decode(e Encoded) *Sketch {
 	s := New(e.Alpha)
 	var sum uint64
 	for _, c := range e.Counts {
+		if sum+c < sum {
+			return s
+		}
 		sum += c
 	}
-	if sum+e.Zero != e.Total {
+	if sum+e.Zero < sum || sum+e.Zero != e.Total {
 		return s
+	}
+	if n := len(e.Counts); n > 0 {
+		lo, hi := s.index(zeroThreshold), s.index(math.MaxFloat64)
+		if e.Offset < lo || e.Offset > hi || n-1 > hi-e.Offset {
+			return s
+		}
 	}
 	s.offset = e.Offset
 	s.counts = append([]uint64(nil), e.Counts...)

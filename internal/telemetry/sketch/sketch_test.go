@@ -322,3 +322,44 @@ func BenchmarkSketchReduce(b *testing.B) {
 		_ = s.Quantile(95)
 	}
 }
+
+// A bucket window no finite value can reach decodes to an empty sketch, so a
+// hostile Offset cannot make a later Merge grow the receiver's window.
+func TestDecodeRejectsUnreachableOffset(t *testing.T) {
+	hi := New(DefaultAlpha).index(math.MaxFloat64)
+	for _, e := range []Encoded{
+		{Alpha: DefaultAlpha, Offset: 1 << 33, Counts: []uint64{1}, Total: 1, Min: 1, Max: 1, Sum: 1},
+		{Alpha: DefaultAlpha, Offset: -(1 << 33), Counts: []uint64{1}, Total: 1, Min: 1, Max: 1, Sum: 1},
+		{Alpha: DefaultAlpha, Offset: hi, Counts: []uint64{1, 1}, Total: 2, Min: 1, Max: 1, Sum: 2},
+	} {
+		d := Decode(e)
+		if d.Count() != 0 {
+			t.Fatalf("offset %d: decoded count %d, want an empty sketch", e.Offset, d.Count())
+		}
+		s := New(DefaultAlpha)
+		s.Insert(0.5)
+		s.Merge(d)
+		if s.Count() != 1 || len(s.counts) != 1 {
+			t.Fatalf("offset %d: merge changed the receiver: count %d, window %d", e.Offset, s.Count(), len(s.counts))
+		}
+	}
+	// The highest and lowest reachable buckets still decode.
+	top := New(DefaultAlpha)
+	top.Insert(math.MaxFloat64)
+	top.Insert(2 * zeroThreshold)
+	if d := Decode(top.Encode()); d.Count() != 2 {
+		t.Fatalf("extreme finite values: decoded count %d, want 2", d.Count())
+	}
+}
+
+// Counts whose sum wraps around uint64 must not pass the total check.
+func TestDecodeRejectsWrappingCounts(t *testing.T) {
+	e := Encoded{Alpha: DefaultAlpha, Offset: 0, Counts: []uint64{math.MaxUint64, 2}, Total: 1, Min: 1, Max: 1, Sum: 1}
+	if d := Decode(e); d.Count() != 0 {
+		t.Fatalf("wrapping counts decoded to count %d, want 0", d.Count())
+	}
+	e = Encoded{Alpha: DefaultAlpha, Offset: 0, Counts: []uint64{2}, Zero: math.MaxUint64, Total: 1, Min: 0, Max: 1, Sum: 1}
+	if d := Decode(e); d.Count() != 0 {
+		t.Fatalf("wrapping zero count decoded to count %d, want 0", d.Count())
+	}
+}

@@ -54,9 +54,10 @@ type StoreConfig struct {
 	// sketches maintained on Append (default sketch.DefaultAlpha, 1%).
 	SketchAlpha float64
 	// ExactReduce forces every Reduce onto the exact sort-based reference
-	// reduction instead of the sketch-backed default — the escape hatch (and
-	// property-test oracle) for consumers that need bit-exact percentiles.
-	// Per-call SummarySpec.Exact selects the same path for one reduction.
+	// reduction instead of the sketch-backed default — the oracle the
+	// sketch-vs-exact property tests and the exact-mode benchmarks measure
+	// against, not an operating mode. Per-call SummarySpec.Exact selects the
+	// same path for one reduction.
 	ExactReduce bool
 }
 

@@ -8,9 +8,12 @@
 //   - a self-organizing GL / GM / LC hierarchy with leader election,
 //     multicast heartbeats and self-healing (internal/hierarchy,
 //     internal/election, internal/coord)
-//   - two-level VM scheduling: GL dispatching + GM placement, overload /
-//     underload relocation and periodic reconfiguration
-//     (internal/scheduling)
+//   - two-level VM scheduling: GL dispatching + GM placement and overload /
+//     underload relocation (internal/scheduling)
+//   - continuous consolidation: each GM runs an online optimizer that
+//     re-packs its VMs with parallel ACO colonies under a per-round
+//     migration budget (internal/consolidation/online; enable it with
+//     ClusterConfig.Manager.Consolidation.Enabled)
 //   - consolidation algorithms: ACO, First-Fit-Decreasing baselines and an
 //     exact branch-and-bound solver (internal/consolidation)
 //   - energy management: idle-server suspend, wake-on-demand and energy
@@ -136,13 +139,9 @@ type (
 	ConsolidationResult = consolidation.Result
 	// ACOConfig holds the ant colony parameters.
 	ACOConfig = consolidation.ACOConfig
-	// Algorithm is a consolidation solver, usable as the periodic
-	// reconfiguration policy in ClusterConfig.Manager.Reconfig.
+	// Algorithm is a consolidation solver (ACO, FFD or the exact solver).
 	Algorithm = consolidation.Algorithm
 )
-
-// NewACOAlgorithm returns the ACO solver as a reusable Algorithm value.
-func NewACOAlgorithm(cfg ACOConfig) Algorithm { return consolidation.ACO{Config: cfg} }
 
 // DefaultACOConfig returns the calibrated ACO parameters.
 func DefaultACOConfig() ACOConfig { return consolidation.DefaultACOConfig() }
