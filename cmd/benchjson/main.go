@@ -5,7 +5,8 @@
 //	go test -bench=Telemetry -benchmem ./internal/telemetry | benchjson > BENCH_telemetry.json
 //
 // Standard metrics (ns/op, B/op, allocs/op) get dedicated fields; any custom
-// b.ReportMetric unit lands in "extra".
+// b.ReportMetric unit lands in "extra". Each row records the package it ran
+// in (the "pkg:" header above it), so a multi-package run stays attributable.
 //
 // With -compare BASELINE.json the command additionally enforces a regression
 // gate: after emitting the JSON it exits non-zero when any benchmark present
@@ -36,6 +37,7 @@ import (
 // Benchmark is one parsed result line.
 type Benchmark struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
 	Procs       int                `json:"procs,omitempty"`
 	Runs        int64              `json:"runs"`
 	NsPerOp     float64            `json:"nsPerOp"`
@@ -48,7 +50,6 @@ type Benchmark struct {
 type Document struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -62,6 +63,7 @@ func main() {
 	doc := Document{Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -70,11 +72,12 @@ func main() {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
+				b.Pkg = pkg
 				doc.Benchmarks = append(doc.Benchmarks, b)
 			}
 		}

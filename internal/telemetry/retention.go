@@ -5,9 +5,11 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"snooze/internal/telemetry/sketch"
 )
 
-// Tiered series retention. A series is a raw fixed-capacity ring plus zero or
+// Tiered series retention. A series is a raw bounded ring plus zero or
 // more downsampled tiers (default: 1m- and 10m-resolution bucket rings). When
 // the raw ring evicts its oldest sample, the sample is not lost: it is folded
 // into the finest tier's pending bucket; completed buckets are pushed into
@@ -243,12 +245,15 @@ func bucketPoint(b bucket) point {
 // drops it when retention is raw-only) and folds it into the eviction sketch
 // and moments, so history that the tier ladder decimates — or, with NoTiers,
 // drops outright — keeps its full value distribution at sketch resolution.
+// The eviction sketch is created here, at the lifetime sketch's accuracy (it
+// sketches a prefix of the same samples).
 func (s *series) evictRaw(sm Sample) {
 	s.evicted++
-	if s.evict != nil {
-		s.evict.Insert(sm.Value)
-		s.evictM.add(sm.At.Seconds(), sm.Value)
+	if s.evict == nil {
+		s.evict = sketch.New(s.life.Alpha())
 	}
+	s.evict.Insert(sm.Value)
+	s.evictM.add(sm.At.Seconds(), sm.Value)
 	if len(s.tiers) > 0 {
 		absorb(s.tiers, 0, bucket{at: sm.At, min: sm.Value, max: sm.Value, sum: sm.Value, count: 1})
 	}
@@ -380,7 +385,9 @@ type TierInfo struct {
 // SeriesInfo is the retention metadata of one series: how much history each
 // tier holds and where full-resolution coverage begins.
 type SeriesInfo struct {
-	// RawCapacity / RawPoints size the raw ring.
+	// RawCapacity is the raw ring's maximum length (StoreConfig.
+	// SeriesCapacity), however far the ring has grown; RawPoints is the
+	// retained raw sample count.
 	RawCapacity int
 	RawPoints   int
 	// Points counts every retained point across all tiers (the stitched
@@ -412,7 +419,7 @@ func (s *Store) Info(entity, metric string) (SeriesInfo, bool) {
 		return SeriesInfo{}, false
 	}
 	info := SeriesInfo{
-		RawCapacity: len(ser.buf),
+		RawCapacity: ser.capacity,
 		RawPoints:   ser.n,
 		Points:      ser.n,
 		OldestAt:    ser.oldestAt(),

@@ -36,6 +36,12 @@ const zeroThreshold = 1e-9
 // would be meaningless.
 const maxAlpha = 0.5
 
+// minAlpha floors it. The bucket count between two values grows as 1/alpha,
+// so a finer sketch would let one wire-supplied alpha (a forged summary or
+// snapshot) blow a later Insert's window up to billions of buckets; at 0.1%
+// a value range of 1e-9..1e9 spans about 20k buckets.
+const minAlpha = 0.001
+
 // Sketch is a mergeable log-bucket quantile sketch. The zero value is not
 // usable; construct with New or Decode.
 type Sketch struct {
@@ -57,14 +63,12 @@ type Sketch struct {
 }
 
 // New creates an empty sketch with the given relative-error bound alpha
-// (clamped to (0, 0.5]; non-positive selects DefaultAlpha).
+// (clamped to [0.001, 0.5]; non-positive selects DefaultAlpha).
 func New(alpha float64) *Sketch {
 	if alpha <= 0 || math.IsNaN(alpha) {
 		alpha = DefaultAlpha
 	}
-	if alpha > maxAlpha {
-		alpha = maxAlpha
-	}
+	alpha = min(max(alpha, minAlpha), maxAlpha)
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{alpha: alpha, gamma: gamma, logGamma: math.Log(gamma)}
 }
@@ -320,14 +324,18 @@ func (s *Sketch) Encode() Encoded {
 	return e
 }
 
-// Decode rebuilds a sketch from its encoded form. A malformed encoding — a
-// count mismatch, counts whose sum overflows, or a bucket window outside the
-// range finite values above the zero threshold can reach at the encoded
-// alpha — yields an empty sketch at that alpha rather than a corrupt one (a
-// hostile Offset would otherwise make the next Merge grow the window without
+// Decode rebuilds a sketch from its encoded form. A malformed encoding — an
+// alpha below the floor New clamps to, a count mismatch, counts whose sum
+// overflows, or a bucket window outside the range finite values above the
+// zero threshold can reach at the encoded alpha — yields an empty sketch at
+// the clamped alpha rather than a corrupt one (a hostile Offset or alpha
+// would otherwise make the next Merge or Insert grow the window without
 // bound).
 func Decode(e Encoded) *Sketch {
 	s := New(e.Alpha)
+	if !(e.Alpha >= minAlpha) {
+		return s
+	}
 	var sum uint64
 	for _, c := range e.Counts {
 		if sum+c < sum {

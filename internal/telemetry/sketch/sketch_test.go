@@ -352,6 +352,29 @@ func TestDecodeRejectsUnreachableOffset(t *testing.T) {
 	}
 }
 
+// A wire alpha below the floor decodes to an empty sketch at the floor, so
+// ordinary inserts into the restored sketch keep a bounded bucket window
+// instead of spanning ~10^12 buckets.
+func TestDecodeFloorsTinyAlpha(t *testing.T) {
+	e := Encoded{Alpha: 1e-12, Offset: 0, Counts: []uint64{1}, Total: 1, Min: 1, Max: 1, Sum: 1}
+	d := Decode(e)
+	if d.Alpha() != minAlpha {
+		t.Fatalf("decoded alpha %v, want the floor %v", d.Alpha(), minAlpha)
+	}
+	if d.Count() != 0 {
+		t.Fatalf("decoded count %d, want an empty sketch", d.Count())
+	}
+	d.Insert(1e-6)
+	d.Insert(1e6)
+	// ln(1e12)/ln(gamma) at alpha 0.001 is ~13.8k buckets.
+	if bound := d.index(1e6) - d.index(1e-6) + 1; len(d.counts) > bound || bound > 14000 {
+		t.Fatalf("bucket window %d (bound %d), want at most 14000", len(d.counts), bound)
+	}
+	if got := New(1e-12).Alpha(); got != minAlpha {
+		t.Fatalf("New(1e-12) alpha = %v, want %v", got, minAlpha)
+	}
+}
+
 // Counts whose sum wraps around uint64 must not pass the total check.
 func TestDecodeRejectsWrappingCounts(t *testing.T) {
 	e := Encoded{Alpha: DefaultAlpha, Offset: 0, Counts: []uint64{math.MaxUint64, 2}, Total: 1, Min: 1, Max: 1, Sum: 1}

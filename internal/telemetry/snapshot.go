@@ -117,7 +117,7 @@ func snapshotSeries(k Key, ser *series, from time.Duration) SeriesSnapshot {
 	ss := SeriesSnapshot{
 		Entity:      k.Entity,
 		Metric:      k.Metric,
-		RawCapacity: len(ser.buf),
+		RawCapacity: ser.capacity,
 		Gen:         ser.gen,
 		Evicted:     ser.evicted,
 		LifeM:       ser.lifeM,
@@ -214,52 +214,73 @@ func (s *Store) restoreSeries(ss *SeriesSnapshot) bool {
 			return false
 		}
 	}
-	capacity := ss.RawCapacity
-	if capacity < len(ss.Samples) {
-		capacity = len(ss.Samples)
+	// The raw capacity is the store's own; the snapshot's RawCapacity came off
+	// the wire. Surplus samples keep the newest ones, and the dropped count
+	// joins the eviction watermark exactly as a SnapshotSince trim does, so
+	// Truncated stays honest.
+	samples, evicted := ss.Samples, ss.Evicted
+	if drop := len(samples) - s.capacity; drop > 0 {
+		samples = samples[drop:]
+		evicted += uint64(drop)
 	}
-	if capacity <= 0 {
-		capacity = s.capacity
-	}
-	ser := &series{buf: make([]Sample, capacity), n: len(ss.Samples), gen: ss.Gen, evicted: ss.Evicted, lifeM: ss.LifeM, evictM: ss.EvictM}
-	copy(ser.buf, ss.Samples)
-	// Rebuild the sketch plane. A snapshot that predates the sketches (or an
-	// empty series) still gets live empty sketches so future appends feed
-	// them; an encoded lifetime distribution is adopted verbatim, preserving
-	// quantiles across the handoff even where the raw window was trimmed.
+	// An encoded lifetime distribution is adopted verbatim, preserving
+	// quantiles across the handoff even where the raw window was trimmed. A
+	// snapshot that predates the sketches gets a fresh lifetime sketch, so
+	// future appends feed it.
+	var life *sketch.Sketch
 	if ss.Life != nil {
-		ser.life = sketch.Decode(*ss.Life)
-	} else {
-		ser.life = sketch.New(s.alpha)
+		life = sketch.Decode(*ss.Life)
 	}
+	ser := s.newSeries(life)
+	ser.buf = make([]Sample, len(samples))
+	copy(ser.buf, samples)
+	ser.n = len(samples)
+	ser.gen, ser.evicted, ser.lifeM, ser.evictM = ss.Gen, evicted, ss.LifeM, ss.EvictM
 	if ss.Evict != nil {
 		ser.evict = sketch.Decode(*ss.Evict)
-	} else {
-		ser.evict = sketch.New(s.alpha)
 	}
 	if ss.Adopted != nil {
 		ser.adopted = sketch.Decode(*ss.Adopted)
 	}
-	if len(ss.Tiers) > 0 {
-		ser.tiers = make([]tier, len(ss.Tiers))
-		for i, ts := range ss.Tiers {
-			t := tier{step: ts.Step, cap: ts.Capacity, pending: ts.Pending.bucket(), evicted: ts.Evicted}
-			if len(ts.Buckets) > 0 {
-				size := t.cap
-				if size < len(ts.Buckets) {
-					size = len(ts.Buckets)
-				}
-				t.buf = make([]bucket, size)
-				for j, b := range ts.Buckets {
-					t.buf[j] = b.bucket()
-				}
-				t.n = len(ts.Buckets)
-			}
-			ser.tiers[i] = t
-		}
+	if tiers := s.restoreTiers(ss.Tiers); tiers != nil {
+		ser.tiers = tiers
 	}
 	sh.series[key] = ser
 	return true
+}
+
+// restoreTiers rebuilds a snapshot's tier ladder. Steps and capacities come
+// off the wire, so a ladder the store could not have produced (a
+// non-positive or non-ascending step, a non-positive capacity) is refused —
+// the series keeps the store's own ladder — and no ring is sized past the
+// larger of its shipped buckets and the store's largest tier. It returns nil
+// for an empty or refused ladder.
+func (s *Store) restoreTiers(tss []TierSnapshot) []tier {
+	if len(tss) == 0 {
+		return nil
+	}
+	maxCap := 0
+	for _, tc := range s.tiers {
+		if tc.Capacity > maxCap {
+			maxCap = tc.Capacity
+		}
+	}
+	tiers := make([]tier, len(tss))
+	for i, ts := range tss {
+		if ts.Step <= 0 || ts.Capacity <= 0 || (i > 0 && ts.Step <= tss[i-1].Step) {
+			return nil
+		}
+		t := tier{step: ts.Step, cap: min(ts.Capacity, max(maxCap, len(ts.Buckets))), pending: ts.Pending.bucket(), evicted: ts.Evicted}
+		if len(ts.Buckets) > 0 {
+			t.buf = make([]bucket, max(t.cap, len(ts.Buckets)))
+			for j, b := range ts.Buckets {
+				t.buf[j] = b.bucket()
+			}
+			t.n = len(ts.Buckets)
+		}
+		tiers[i] = t
+	}
+	return tiers
 }
 
 // Import re-inserts archived events into the journal PRESERVING their

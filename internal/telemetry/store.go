@@ -38,9 +38,11 @@ type Sample struct {
 
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
-	// SeriesCapacity is the fixed raw ring-buffer length of every series
-	// (default 512 samples). Samples evicted from the raw ring are folded
-	// into the downsampled tiers rather than lost (see retention.go).
+	// SeriesCapacity is the maximum raw ring-buffer length of every series
+	// (default 512 samples). A ring grows on demand, doubling from 8 slots as
+	// appends need space, so a series costs only what it holds until it
+	// reaches this length; from then on samples evicted from the raw ring are
+	// folded into the downsampled tiers rather than lost (see retention.go).
 	SeriesCapacity int
 	// Shards is the lock-shard count, rounded up to a power of two
 	// (default 32). More shards = less contention on concurrent ingest.
@@ -99,23 +101,29 @@ func (m *Moments) trend() float64 {
 	return (n*m.SumTV - m.SumT*m.Sum) / denom
 }
 
-// series is a fixed-capacity ring buffer of time-ordered samples, backed by
+// series is a bounded ring buffer of time-ordered samples, backed by
 // downsampled retention tiers (retention.go) that absorb evicted samples and
 // shadowed by mergeable quantile sketches (sketch package) that keep the full
 // value distribution at relative-error resolution no matter how much raw
 // history the rings have decimated.
+//
+// The ring grows on demand up to capacity. It cannot wrap before it is full,
+// so head stays 0 while it grows and every index computation below works on
+// len(buf) unchanged.
 type series struct {
-	buf     []Sample
-	head    int    // index of the oldest sample
-	n       int    // number of valid samples
-	gen     uint64 // generation of the newest append (store-wide unique)
-	evicted uint64 // raw samples pushed out of the raw ring
-	tiers   []tier // downsampled rings, finest first (bufs lazily allocated)
+	buf      []Sample
+	capacity int    // maximum raw ring length; buf grows to it on demand
+	head     int    // index of the oldest sample
+	n        int    // number of valid samples
+	gen      uint64 // generation of the newest append (store-wide unique)
+	evicted  uint64 // raw samples pushed out of the raw ring
+	tiers    []tier // downsampled rings, finest first (bufs lazily allocated)
 
 	// life sketches every sample ever appended; evict sketches the samples
 	// pushed out of the raw ring (a prefix of life, so life alone answers
 	// covers-everything quantile queries honestly even past tier evictions).
-	// Both update in O(1) under the shard lock Append already holds.
+	// Both update in O(1) under the shard lock Append already holds; evict is
+	// allocated on the first raw eviction, since only snapshots read it.
 	life  *sketch.Sketch
 	evict *sketch.Sketch
 	// adopted is a replicated distribution installed by AdoptSketch (GM→GL
@@ -128,7 +136,13 @@ type series struct {
 	evictM Moments
 }
 
+// minRing is the raw ring length a series starts at on its first append.
+const minRing = 8
+
 func (s *series) append(sm Sample) {
+	if s.n == len(s.buf) && s.n < s.capacity {
+		s.grow()
+	}
 	if s.n < len(s.buf) {
 		s.buf[(s.head+s.n)%len(s.buf)] = sm
 		s.n++
@@ -137,6 +151,20 @@ func (s *series) append(sm Sample) {
 	s.evictRaw(s.buf[s.head])
 	s.buf[s.head] = sm
 	s.head = (s.head + 1) % len(s.buf)
+}
+
+// grow doubles the (unwrapped, full) ring, from minRing up to capacity.
+func (s *series) grow() {
+	size := 2 * len(s.buf)
+	if size < minRing {
+		size = minRing
+	}
+	if size > s.capacity {
+		size = s.capacity
+	}
+	buf := make([]Sample, size)
+	copy(buf, s.buf[:s.n])
+	s.buf = buf
 }
 
 // at returns the i-th retained sample, oldest first.
@@ -257,26 +285,36 @@ func (s *Store) shardFor(entity, metric string) *shard {
 	return &s.shards[hashKey(entity, metric)&s.mask]
 }
 
+// newSeries returns an empty series with the store's raw capacity and tier
+// ladder around the lifetime sketch life (nil: a fresh one at the store's
+// accuracy; a restore passes the replica it decoded). Nothing but headers is
+// allocated: the raw ring grows on append, the sketches allocate their
+// bucket windows on first insert and the tier rings on first eviction, so
+// short-lived series never pay for retention they don't use.
+func (s *Store) newSeries(life *sketch.Sketch) *series {
+	if life == nil {
+		life = sketch.New(s.alpha)
+	}
+	ser := &series{capacity: s.capacity, life: life}
+	if len(s.tiers) > 0 {
+		ser.tiers = make([]tier, len(s.tiers))
+		for i, tc := range s.tiers {
+			ser.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
+		}
+	}
+	return ser
+}
+
 // Append records one sample. The hot path takes exactly one shard lock and
-// allocates nothing once the series ring exists. Every append advances the
-// series' generation (see Generation).
+// allocates nothing once the series ring has reached its capacity. Every
+// append advances the series' generation (see Generation).
 func (s *Store) Append(entity, metric string, at time.Duration, v float64) {
 	sh := s.shardFor(entity, metric)
 	key := Key{Entity: entity, Metric: metric}
 	sh.mu.Lock()
 	ser, ok := sh.series[key]
 	if !ok {
-		// The sketches allocate their bucket windows lazily on first insert,
-		// so the headers here cost a few words each.
-		ser = &series{buf: make([]Sample, s.capacity), life: sketch.New(s.alpha), evict: sketch.New(s.alpha)}
-		if len(s.tiers) > 0 {
-			// Tier headers only: the bucket rings allocate on first eviction,
-			// so short-lived series never pay for retention they don't use.
-			ser.tiers = make([]tier, len(s.tiers))
-			for i, tc := range s.tiers {
-				ser.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
-			}
-		}
+		ser = s.newSeries(nil)
 		sh.series[key] = ser
 	}
 	ser.append(Sample{At: at, Value: v})
@@ -487,13 +525,7 @@ func (s *Store) AdoptSketch(entity, metric string, enc sketch.Encoded) bool {
 	defer sh.mu.Unlock()
 	ser, ok := sh.series[key]
 	if !ok {
-		ser = &series{buf: make([]Sample, s.capacity), life: sketch.New(s.alpha), evict: sketch.New(s.alpha)}
-		if len(s.tiers) > 0 {
-			ser.tiers = make([]tier, len(s.tiers))
-			for i, tc := range s.tiers {
-				ser.tiers[i] = tier{step: tc.Step, cap: tc.Capacity}
-			}
-		}
+		ser = s.newSeries(nil)
 		sh.series[key] = ser
 	}
 	if ser.adopted != nil && ser.adopted.Count() >= dec.Count() {

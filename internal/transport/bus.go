@@ -353,15 +353,20 @@ func (b *Bus) Send(from, to Address, kind string, payload any) error {
 }
 
 // Call delivers a request and invokes cb exactly once with the response or
-// an error. The timeout covers the full round trip. cb runs on the runtime
-// executor.
+// an error. The timeout covers the full round trip; its timer is released
+// as soon as the call settles (reply, dispatch error or timeout), so a
+// finished call holds no timer or closure for the rest of the timeout. cb
+// runs on the runtime executor.
 func (b *Bus) Call(from, to Address, kind string, payload any, timeout time.Duration, cb func(reply any, err error)) {
 	if cb == nil {
 		_ = b.Send(from, to, kind, payload)
 		return
 	}
-	var mu sync.Mutex
-	done := false
+	var (
+		mu    sync.Mutex
+		done  bool
+		timer simkernel.Canceler
+	)
 	finish := func(reply any, err error) {
 		mu.Lock()
 		if done {
@@ -369,11 +374,21 @@ func (b *Bus) Call(from, to Address, kind string, payload any, timeout time.Dura
 			return
 		}
 		done = true
+		t := timer
+		timer = nil
 		mu.Unlock()
+		if t != nil {
+			t.Cancel()
+		}
 		cb(reply, err)
 	}
 	if timeout > 0 {
-		b.rt.After(timeout, func() { finish(nil, ErrTimeout) })
+		t := b.rt.After(timeout, func() { finish(nil, ErrTimeout) })
+		mu.Lock()
+		if !done { // else a wall-clock timer already fired: nothing to release
+			timer = t
+		}
+		mu.Unlock()
 	}
 	err := b.dispatch(from, to, kind, payload, func(reply any, err error) {
 		// Response travels back over the network: apply latency and
