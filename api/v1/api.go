@@ -249,7 +249,10 @@ type ConsolidationStatusList struct {
 	Items []ConsolidationStatus `json:"items"`
 }
 
-// SeriesSummary describes one latency/size series statistically.
+// SeriesSummary describes one observed series statistically over its whole
+// lifetime: N, Mean, Min and Max are exact; P50/P95/P99 come from the
+// series' quantile sketch and are within 1% (relative) of the exact rank
+// values. N always equals the matching Histogram's Count.
 type SeriesSummary struct {
 	N      int     `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -265,22 +268,26 @@ type SeriesSummary struct {
 // placements, relocations, failovers, and the state-recovery flow —
 // gm.state-syncs, gl.state-restores, gm.recoveries, gm.monitor-rejects,
 // gm.migration-retries, gm.migration-abandoned), point-in-time gauges
-// (telemetry volume), duration series summaries (including
-// gm.recovery-latency, the failure-declared→state-restored handoff time in
-// milliseconds) and fixed-bucket histograms.
+// (telemetry volume), lifetime series summaries and their histograms.
+// Durations are in seconds, named `<name>.seconds`: the decision spans'
+// `<kind>.duration.seconds`, gl.submit-latency.seconds and
+// gm.recovery-latency.seconds (the failure-declared→state-restored handoff
+// time).
 type MetricsSnapshot struct {
 	Counters map[string]int64         `json:"counters,omitempty"`
 	Gauges   map[string]float64       `json:"gauges,omitempty"`
 	Series   map[string]SeriesSummary `json:"series,omitempty"`
-	// Histograms carries the fixed-bucket distribution behind each series:
-	// lifetime count/sum/extremes plus per-bucket counts (the Prometheus
-	// /metrics exposition renders from these).
+	// Histograms carries the same series as Series, laid out on fixed
+	// buckets: lifetime count/sum/extremes plus per-bucket counts (the
+	// Prometheus /metrics exposition renders from these).
 	Histograms map[string]Histogram `json:"histograms,omitempty"`
 }
 
-// Histogram is one observed series' fixed-bucket distribution. Counts[i]
-// holds observations <= Bounds[i] (and greater than the previous bound);
-// the final entry past the last bound is the +Inf overflow bucket.
+// Histogram is one observed series' distribution on fixed bucket bounds.
+// Counts[i] holds observations <= Bounds[i] (and greater than the previous
+// bound); the final entry past the last bound is the +Inf overflow bucket.
+// The counts are rendered from the series' quantile sketch, so a value
+// within 1% of a bound may be counted in the bucket on its other side.
 type Histogram struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`

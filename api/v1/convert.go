@@ -158,19 +158,14 @@ func FromRegistry(r *metrics.Registry) MetricsSnapshot {
 			}
 			snap.Gauges[name] = g
 		}
-		if series := r.Series(name); len(series) > 0 {
+		if s, h, ok := r.Distribution(name); ok {
 			if snap.Series == nil {
 				snap.Series = make(map[string]SeriesSummary)
+				snap.Histograms = make(map[string]Histogram)
 			}
-			s := metrics.Summarize(series)
 			snap.Series[name] = SeriesSummary{
 				N: s.N, Mean: s.Mean, Min: s.Min, Max: s.Max,
 				P50: s.P50, P95: s.P95, P99: s.P99, Stddev: s.Stddev,
-			}
-		}
-		if h, ok := r.Histogram(name); ok && h.Count > 0 {
-			if snap.Histograms == nil {
-				snap.Histograms = make(map[string]Histogram)
 			}
 			snap.Histograms[name] = Histogram{
 				Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,

@@ -100,15 +100,16 @@ func TestFromRegistry(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.Inc("c", 3)
 	r.SetGauge("g", 1.5)
-	for i := 0; i < 10; i++ {
-		r.Observe("s", float64(i))
+	for i := 0; i < 600; i++ {
+		r.Observe("s", float64(i%10))
 	}
 	snap := FromRegistry(r)
 	if snap.Counters["c"] != 3 || snap.Gauges["g"] != 1.5 {
 		t.Fatalf("counters/gauges: %+v", snap)
 	}
-	if s := snap.Series["s"]; s.N != 10 || s.Min != 0 || s.Max != 9 {
-		t.Fatalf("series summary: %+v", snap.Series)
+	// The summary covers the same lifetime population as the histogram.
+	if s, h := snap.Series["s"], snap.Histograms["s"]; s.N != 600 || int64(s.N) != h.Count || s.Min != 0 || s.Max != 9 {
+		t.Fatalf("series summary %+v, histogram %+v", s, h)
 	}
 }
 

@@ -160,7 +160,7 @@ func main() {
 		}
 		for _, name := range sortedKeys(snap.Series) {
 			s := snap.Series[name]
-			fmt.Printf("%-32s n=%d mean=%.2f p95=%.2f p99=%.2f\n", name, s.N, s.Mean, s.P95, s.P99)
+			fmt.Printf("%-32s n=%d mean=%.4g p95=%.4g p99=%.4g\n", name, s.N, s.Mean, s.P95, s.P99)
 		}
 
 	case "recovery":
@@ -180,9 +180,9 @@ func main() {
 				shown++
 			}
 		}
-		if s, ok := snap.Series["gm.recovery-latency"]; ok {
+		if s, ok := snap.Series["gm.recovery-latency.seconds"]; ok {
 			fmt.Printf("%-24s n=%d mean=%.2fms p95=%.2fms p99=%.2fms\n",
-				"gm.recovery-latency", s.N, s.Mean, s.P95, s.P99)
+				"gm.recovery-latency", s.N, 1e3*s.Mean, 1e3*s.P95, 1e3*s.P99)
 			shown++
 		}
 		if shown == 0 {

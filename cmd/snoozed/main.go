@@ -88,7 +88,6 @@ func main() {
 	consolidationColonies := flag.Int("consolidation-colonies", 0, "control role: parallel ant colonies per consolidation round (0 = default 4)")
 	traceSample := flag.Int("trace-sample", 1, "control role: record every Nth decision trace (<=1 records all)")
 	dispatchBatch := flag.Int("dispatch-batch", 0, "control role: max VMs the GL coalesces into one placement request per GM (<=1 sequential dispatch)")
-	admissionOrder := flag.String("admission-order", "", "control role: batched-dispatch admission order (ffd = largest-first packing, arrival = submission order)")
 	rollupInterval := flag.Duration("rollup-interval", 0, "control role: GM rollup series debounce (0 = heartbeat period; <0 disables rollups)")
 	stateSyncPeriod := flag.Duration("state-sync-period", 0, "control role: GM->GL telemetry state-sync period for warm failover (0 = auto: off on this process's shared hub; >0 forces; <0 disables)")
 	migrationRetries := flag.Int("migration-retries", 0, "control role: total migration attempts before abandoning (0 = default 3)")
@@ -157,7 +156,6 @@ func main() {
 			cfg.ViewHorizon = *viewHorizon
 			cfg.VMLivenessGrace = *vmLivenessGrace
 			cfg.DispatchBatch = *dispatchBatch
-			cfg.AdmissionOrder = *admissionOrder
 			cfg.RollupInterval = *rollupInterval
 			if *stateSyncPeriod != 0 {
 				cfg.StateSyncPeriod = *stateSyncPeriod

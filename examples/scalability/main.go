@@ -37,8 +37,8 @@ func main() {
 			if batch > 1 {
 				mode = "batched"
 			}
-			// gl.submit-latency records virtual milliseconds per submission.
-			p95 := time.Duration(c.Metrics.Summarize("gl.submit-latency").P95 * float64(time.Millisecond))
+			// gl.submit-latency.seconds records virtual seconds per submission.
+			p95 := time.Duration(c.Metrics.Summarize("gl.submit-latency.seconds").P95 * float64(time.Second))
 			fmt.Printf("%-6d %-4d %-11s %-16v %-7v %-11v %d\n",
 				p.lcs, p.gms, mode, elapsed.Round(time.Millisecond),
 				(elapsed / time.Duration(len(resp.Placed))).Round(time.Microsecond),

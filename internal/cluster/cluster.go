@@ -294,9 +294,6 @@ func mergeDefaults(mcfg hierarchy.ManagerConfig) hierarchy.ManagerConfig {
 	if mcfg.DispatchBatch != 0 {
 		def.DispatchBatch = mcfg.DispatchBatch
 	}
-	if mcfg.AdmissionOrder != "" {
-		def.AdmissionOrder = mcfg.AdmissionOrder
-	}
 	if mcfg.RollupInterval != 0 {
 		def.RollupInterval = mcfg.RollupInterval
 	}

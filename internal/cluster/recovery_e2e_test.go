@@ -75,7 +75,7 @@ func TestGMCrashRecoversTelemetryState(t *testing.T) {
 	if got := c.Metrics.Count("gm.recoveries"); got == 0 {
 		t.Fatal("no survivor adopted the restored state")
 	}
-	if _, ok := c.Metrics.Histogram("gm.recovery-latency"); !ok {
+	if _, ok := c.Metrics.Histogram("gm.recovery-latency.seconds"); !ok {
 		t.Fatal("recovery latency not observed")
 	}
 

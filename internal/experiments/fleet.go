@@ -70,17 +70,17 @@ func F1FleetThroughput(scale Scale) Result {
 			tb.AddRow(v.name, lcs, gms, placed, "ERROR: "+msg, "-", "-", "-", "-", "-")
 			continue
 		}
-		// Per-decision latency: one gl.submit-latency observation per wave
-		// (virtual milliseconds from submission arrival to the response).
-		lat := c.Metrics.Summarize("gl.submit-latency")
-		ms := func(v float64) string {
-			return time.Duration(v * float64(time.Millisecond)).Round(10 * time.Microsecond).String()
+		// Per-decision latency: one gl.submit-latency.seconds observation per
+		// wave (virtual seconds from submission arrival to the response).
+		lat := c.Metrics.Summarize("gl.submit-latency.seconds")
+		dur := func(sec float64) string {
+			return time.Duration(sec * float64(time.Second)).Round(10 * time.Microsecond).String()
 		}
 		tb.AddRow(v.name, lcs, gms, placed,
 			virt.Round(time.Millisecond),
 			(virt / time.Duration(placed)).Round(time.Microsecond),
 			fmt.Sprintf("%.0f", float64(placed)/wall.Seconds()),
-			ms(lat.P50), ms(lat.P95), ms(lat.P99))
+			dur(lat.P50), dur(lat.P95), dur(lat.P99))
 	}
 	return Result{
 		ID:    "F1",

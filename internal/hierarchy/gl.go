@@ -282,7 +282,7 @@ func (m *Manager) glOnSubmit(req *transport.Request) {
 		m.dispatchBatch(sub.VMs, func(placed map[types.VMID]types.NodeID, unplaced []types.VMID) {
 			resp.Placed = placed
 			resp.Unplaced = unplaced
-			m.observe("gl.submit-latency", m.rt.Now()-start)
+			m.observe("gl.submit-latency.seconds", m.rt.Now()-start)
 			req.Respond(resp)
 		})
 		return
@@ -293,7 +293,7 @@ func (m *Manager) glOnSubmit(req *transport.Request) {
 	var next func(i int)
 	next = func(i int) {
 		if i >= len(sub.VMs) {
-			m.observe("gl.submit-latency", m.rt.Now()-start)
+			m.observe("gl.submit-latency.seconds", m.rt.Now()-start)
 			req.Respond(resp)
 			return
 		}
@@ -433,18 +433,15 @@ func (m *Manager) dispatchVM(spec types.VMSpec, cb func(node types.NodeID, ok bo
 // first-choice GM — one PlaceRequest per GM (chunked at DispatchBatch VMs)
 // instead of one probe chain per VM. VMs whose batch the GM rejected fall
 // back to the sequential per-VM probe, which walks the full candidate list
-// with refreshed views. Under AdmissionFFD (the default) the batch is ranked
-// largest-first before grouping, so under capacity pressure the placement
-// order packs at least as well as arrival order (first-fit-decreasing);
-// AdmissionArrival keeps the submission order.
+// with refreshed views. The batch is ranked largest-first before grouping,
+// so under capacity pressure the placement order packs at least as well as
+// arrival order (first-fit-decreasing).
 //
-// Under overcommit (aggregate demand exceeding fleet capacity) both orders
-// saturate the cluster and place identical resource totals, but the admitted
-// *set* differs: largest-first admits fewer, larger VMs where arrival order
-// admits more small ones. That is an admission-ordering property of FFD, not
-// a capacity loss — callers who care about admitted-VM count rather than
-// admitted resources under scarcity should set AdmissionOrder to "arrival"
-// or keep DispatchBatch at 1.
+// Under overcommit (aggregate demand exceeding fleet capacity) largest-first
+// admits fewer, larger VMs where arrival order would admit more small ones.
+// That is an admission-ordering property of FFD, not a capacity loss —
+// callers who care about admitted-VM count rather than admitted resources
+// under scarcity should keep DispatchBatch at 1.
 func (m *Manager) dispatchBatch(specs []types.VMSpec, done func(placed map[types.VMID]types.NodeID, unplaced []types.VMID)) {
 	m.mu.Lock()
 	if m.role != RoleGL || m.stopped {
@@ -467,20 +464,17 @@ func (m *Manager) dispatchBatch(specs []types.VMSpec, done func(placed map[types
 	// Rank the batch largest-first (decreasing CPU, then memory, ID
 	// tie-break): under capacity pressure the placement order decides how
 	// well the bins pack, and first-fit-decreasing beats arrival order.
-	// AdmissionArrival skips the ranking and admits in submission order.
 	ranked := append([]types.VMSpec(nil), specs...)
-	if m.cfg.AdmissionOrder != AdmissionArrival {
-		sort.Slice(ranked, func(i, j int) bool {
-			a, b := ranked[i].Requested, ranked[j].Requested
-			if a.CPU != b.CPU {
-				return a.CPU > b.CPU
-			}
-			if a.Memory != b.Memory {
-				return a.Memory > b.Memory
-			}
-			return ranked[i].ID < ranked[j].ID
-		})
-	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i].Requested, ranked[j].Requested
+		if a.CPU != b.CPU {
+			return a.CPU > b.CPU
+		}
+		if a.Memory != b.Memory {
+			return a.Memory > b.Memory
+		}
+		return ranked[i].ID < ranked[j].ID
+	})
 	byGM := make(map[types.GroupManagerID][]types.VMSpec)
 	var gmOrder []types.GroupManagerID
 	var noCandidates []types.VMID

@@ -311,14 +311,7 @@ func TestLinearSearchSkipsFragmentedGM(t *testing.T) {
 	}
 	// The probe depth series must show a probe beyond the first candidate
 	// for at least one dispatch.
-	depths := reg.Series("gl.probe-depth")
-	max := 0.0
-	for _, d := range depths {
-		if d > max {
-			max = d
-		}
-	}
-	if max < 2 {
-		t.Fatalf("linear search never probed past the first GM: %v", depths)
+	if h, _ := reg.Histogram("gl.probe-depth"); h.Max < 2 {
+		t.Fatalf("linear search never probed past the first GM: %+v", h)
 	}
 }

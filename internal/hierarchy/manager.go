@@ -76,16 +76,6 @@ type ManagerConfig struct {
 	// (experiment E1).
 	DispatchBatch int
 
-	// AdmissionOrder selects how batched dispatch orders a submission's VMs
-	// before grouping them by first-choice GM: AdmissionFFD (the default)
-	// ranks largest-first so the placement order packs first-fit-decreasing;
-	// AdmissionArrival preserves the submission order, reproducing the
-	// paper's arrival-order admission inside the batched fast path. Both
-	// orders place identical resource totals when capacity suffices; under
-	// overcommit they admit different VM sets (see dispatchBatch). Ignored
-	// when DispatchBatch <= 1.
-	AdmissionOrder string
-
 	// RollupInterval debounces the GM-level rollup series: on monitor
 	// ingestion, at most once per interval, the GM aggregates its LC records
 	// (summaryLocked) and appends the gm/<id> series itself — so the group
@@ -231,14 +221,6 @@ type lcRecord struct {
 	// the event-driven energy manager sees each idle transition exactly once.
 	idleAnnounced bool
 }
-
-// AdmissionOrder values (ManagerConfig.AdmissionOrder).
-const (
-	// AdmissionFFD ranks a dispatch batch largest-first (first-fit-decreasing).
-	AdmissionFFD = "ffd"
-	// AdmissionArrival keeps the submission's arrival order.
-	AdmissionArrival = "arrival"
-)
 
 // gmRecord is the GL's view of one Group Manager. scheduling is the policy
 // configuration the GM itself reported in its summary pushes (nil until the
@@ -400,9 +382,6 @@ func NewManager(rt simkernel.Runtime, bus *transport.Bus, svc *coord.Service, cf
 	}
 	if cfg.ElectionBase == "" {
 		cfg.ElectionBase = "/snooze/election"
-	}
-	if cfg.AdmissionOrder != AdmissionArrival {
-		cfg.AdmissionOrder = AdmissionFFD
 	}
 	if cfg.VMLivenessGrace == 0 {
 		if cfg.LCTimeout > 0 {

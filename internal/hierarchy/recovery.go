@@ -285,7 +285,7 @@ func (m *Manager) restoreState(source string, snap telemetry.HubSnapshot, tail [
 		latency = 0
 	}
 	m.mark("gm.recoveries", 1)
-	m.observe("gm.recovery-latency", latency)
+	m.observe("gm.recovery-latency.seconds", latency)
 	m.emit(telemetry.EventGMRecovered, telemetry.GMEntity(m.cfg.ID), telemetry.A(
 		"source", source,
 		"series", strconv.Itoa(series),

@@ -1,7 +1,6 @@
-// Package metrics provides the lightweight counters, gauges and duration
-// histograms used to instrument the hierarchy and to print the experiment
-// tables in EXPERIMENTS.md. It is intentionally minimal (stdlib only) and
-// safe for concurrent use.
+// Package metrics provides the lightweight counters, gauges and
+// sketch-backed histograms used to instrument the hierarchy and to print the
+// experiment tables in EXPERIMENTS.md. It is safe for concurrent use.
 package metrics
 
 import (
@@ -11,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"snooze/internal/telemetry/sketch"
 )
 
 // Registry is a named collection of metrics.
@@ -59,29 +60,11 @@ func (r *Registry) Gauge(name string) (float64, bool) {
 	return v, ok
 }
 
-// Gauges returns a copy of all gauges.
-func (r *Registry) Gauges() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for n, v := range r.gauges {
-		out[n] = v
-	}
-	return out
-}
-
-// ReservoirSize bounds the per-series sample reservoir backing Series and
-// Summarize: a sliding window of the most recent observations. Everything
-// older survives only in the fixed-bucket histogram (count, sum, min, max,
-// bucket counts), so a long-running process holds a constant amount of
-// memory per metric no matter how many samples it observes.
-const ReservoirSize = 512
-
-// DefaultBuckets are the histogram upper bounds shared by every observed
-// series: an exponential ladder (factor 4 from 1µs) wide enough to cover
-// second-unit decision latencies, millisecond-unit durations and small
-// counts like probe depths in one fixed layout. Values above the last bound
-// land in the implicit +Inf overflow bucket.
+// DefaultBuckets are the Prometheus bucket upper bounds every histogram
+// snapshot is rendered onto: an exponential ladder (factor 4 from 1µs) wide
+// enough to cover second-unit durations and small counts like probe depths
+// in one fixed layout. Values above the last bound land in the implicit +Inf
+// overflow bucket.
 var DefaultBuckets = func() []float64 {
 	bounds := make([]float64, 20)
 	b := 1e-6
@@ -92,95 +75,42 @@ var DefaultBuckets = func() []float64 {
 	return bounds
 }()
 
-// histogram is one observed series: fixed cumulative-style bucket counts
-// plus a bounded ring of the most recent raw samples for quantiles.
+// histogram is one observed series: a mergeable quantile sketch holding the
+// lifetime distribution (count, exact sum and extremes, quantiles within
+// sketch.DefaultAlpha) plus the running sum of squares behind Stddev. Its
+// memory grows with the logarithm of the value range, never with the number
+// of observations.
 type histogram struct {
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	buckets []int64 // per-bucket counts; len(DefaultBuckets)+1, last = +Inf
-	ring    []float64
-	head    int // next write position
-	n       int // valid ring entries
+	sk    *sketch.Sketch
+	sumsq float64
 }
 
-func (h *histogram) observe(v float64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	i := sort.SearchFloat64s(DefaultBuckets, v) // first bound >= v: the le bucket
-	h.buckets[i]++
-	if h.n < len(h.ring) {
-		h.ring[h.head] = v
-		h.head++
-		h.n++
-		if h.head == len(h.ring) {
-			h.head = 0
-		}
+// Observe records a sample into the named series. Non-finite values are
+// ignored.
+func (r *Registry) Observe(name string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	h.ring[h.head] = v
-	h.head = (h.head + 1) % len(h.ring)
-}
-
-// samples appends the retained reservoir to dst, oldest first.
-func (h *histogram) samples(dst []float64) []float64 {
-	start := h.head - h.n
-	if start < 0 {
-		start += len(h.ring)
-	}
-	for i := 0; i < h.n; i++ {
-		dst = append(dst, h.ring[(start+i)%len(h.ring)])
-	}
-	return dst
-}
-
-// Observe records a sample into the named series: its fixed-bucket histogram
-// and its bounded reservoir. Unlike the former raw-slice series this never
-// grows — long-running snoozed processes hold ReservoirSize samples plus the
-// bucket counts per metric, total.
-func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &histogram{
-			buckets: make([]int64, len(DefaultBuckets)+1),
-			ring:    make([]float64, ReservoirSize),
-		}
+		h = &histogram{sk: sketch.New(sketch.DefaultAlpha)}
 		r.hists[name] = h
 	}
-	h.observe(v)
+	h.sk.Insert(v)
+	h.sumsq += v * v
 }
 
-// ObserveDuration records a duration sample in milliseconds.
+// ObserveDuration records a duration sample in seconds.
 func (r *Registry) ObserveDuration(name string, d time.Duration) {
-	r.Observe(name, float64(d)/float64(time.Millisecond))
-}
-
-// Series returns a copy of the named series' retained reservoir (the most
-// recent ReservoirSize samples, oldest first).
-func (r *Registry) Series(name string) []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil || h.n == 0 {
-		return nil
-	}
-	return h.samples(make([]float64, 0, h.n))
+	r.Observe(name, d.Seconds())
 }
 
 // HistogramSnapshot is a point-in-time copy of one observed series'
-// fixed-bucket histogram.
+// distribution, laid out on DefaultBuckets.
 type HistogramSnapshot struct {
-	// Count and Sum cover every observation ever made, not just the
-	// reservoir window.
+	// Count and Sum cover every observation ever made.
 	Count int64
 	Sum   float64
 	// Min and Max are lifetime extremes.
@@ -189,44 +119,74 @@ type HistogramSnapshot struct {
 	Bounds []float64
 	// Counts are per-bucket observation counts, len(Bounds)+1: Counts[i]
 	// holds observations v <= Bounds[i] (and > Bounds[i-1]); the final
-	// entry is the +Inf overflow bucket.
+	// entry is the +Inf overflow bucket. They are taken from the sketch, so
+	// a value within sketch.DefaultAlpha of a bound may be counted on
+	// either side of it.
 	Counts []int64
 }
 
 // Histogram returns the named series' histogram snapshot.
 func (r *Registry) Histogram(name string) (HistogramSnapshot, bool) {
+	_, h, ok := r.Distribution(name)
+	return h, ok
+}
+
+// Distribution returns the named series' Summary and histogram snapshot,
+// both taken from the same state, so Summary.N always equals
+// HistogramSnapshot.Count.
+func (r *Registry) Distribution(name string) (Summary, HistogramSnapshot, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		return HistogramSnapshot{}, false
+		return Summary{}, HistogramSnapshot{}, false
 	}
-	return HistogramSnapshot{
-		Count:  h.count,
-		Sum:    h.sum,
-		Min:    h.min,
-		Max:    h.max,
+	sk := h.sk
+	counts := make([]int64, len(DefaultBuckets)+1)
+	sk.Buckets(func(v float64, n uint64) {
+		counts[sort.SearchFloat64s(DefaultBuckets, v)] += int64(n) // first bound >= v: the le bucket
+	})
+	snap := HistogramSnapshot{
+		Count:  int64(sk.Count()),
+		Sum:    sk.Sum(),
+		Min:    sk.Min(),
+		Max:    sk.Max(),
 		Bounds: DefaultBuckets,
-		Counts: append([]int64(nil), h.buckets...),
-	}, true
+		Counts: counts,
+	}
+	return Summary{
+		N:      int(sk.Count()),
+		Mean:   sk.Avg(),
+		Min:    sk.Min(),
+		Max:    sk.Max(),
+		P50:    sketchQuantile(sk, 0.50),
+		P95:    sketchQuantile(sk, 0.95),
+		P99:    sketchQuantile(sk, 0.99),
+		Stddev: stddev(float64(sk.Count()), sk.Sum(), h.sumsq),
+	}, snap, true
 }
 
-// Histograms returns snapshots of every observed series, keyed by name.
-func (r *Registry) Histograms() map[string]HistogramSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(r.hists))
-	for n, h := range r.hists {
-		out[n] = HistogramSnapshot{
-			Count:  h.count,
-			Sum:    h.sum,
-			Min:    h.min,
-			Max:    h.max,
-			Bounds: DefaultBuckets,
-			Counts: append([]int64(nil), h.buckets...),
-		}
+// sketchQuantile answers quantile q in [0, 1] with the exact reference's
+// convention: it interpolates between the sketch's estimates of the two
+// order statistics around rank q*(n-1). Each estimate is within
+// sketch.DefaultAlpha of its order statistic, so for non-negative samples
+// the result is within it of what Summarize reports for the same samples.
+func sketchQuantile(sk *sketch.Sketch, q float64) float64 {
+	last := float64(sk.Count() - 1)
+	if last == 0 {
+		return sk.Quantile(0)
 	}
-	return out
+	// The sketch answers for the order statistic whose index is the floor of
+	// its rank; asking half a rank above an integer rank keeps float
+	// rounding from slipping to the one below.
+	at := func(i float64) float64 { return sk.Quantile(100 * (i + 0.5) / last) }
+	rank := q * last
+	lo, hi := math.Floor(rank), math.Ceil(rank)
+	if lo == hi {
+		return at(lo)
+	}
+	frac := rank - lo
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Names returns all metric names, sorted.
@@ -259,12 +219,16 @@ type Summary struct {
 	Stddev         float64
 }
 
-// Summarize computes a Summary of the named series.
+// Summarize describes the named series over its lifetime: N, Mean, Min and
+// Max are exact, the percentiles come from the sketch, within
+// sketch.DefaultAlpha of the exact Summarize of every sample observed.
 func (r *Registry) Summarize(name string) Summary {
-	return Summarize(r.Series(name))
+	sum, _, _ := r.Distribution(name)
+	return sum
 }
 
-// Summarize computes summary statistics for the samples.
+// Summarize computes exact summary statistics for the samples; it is the
+// reference the registry's sketch-backed Summarize approximates.
 func Summarize(samples []float64) Summary {
 	if len(samples) == 0 {
 		return Summary{}
@@ -277,21 +241,22 @@ func Summarize(samples []float64) Summary {
 		sumsq += v * v
 	}
 	n := float64(len(s))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
 	return Summary{
 		N:      len(s),
-		Mean:   mean,
+		Mean:   sum / n,
 		Min:    s[0],
 		Max:    s[len(s)-1],
 		P50:    quantile(s, 0.50),
 		P95:    quantile(s, 0.95),
 		P99:    quantile(s, 0.99),
-		Stddev: math.Sqrt(variance),
+		Stddev: stddev(n, sum, sumsq),
 	}
+}
+
+// stddev is the population standard deviation from running sums.
+func stddev(n, sum, sumsq float64) float64 {
+	mean := sum / n
+	return math.Sqrt(max(sumsq/n-mean*mean, 0))
 }
 
 func quantile(sorted []float64, q float64) float64 {

@@ -2,10 +2,15 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"snooze/internal/telemetry/sketch"
 )
 
 func TestCounters(t *testing.T) {
@@ -26,21 +31,22 @@ func TestSeriesAndNames(t *testing.T) {
 	r.Observe("lat", 2)
 	r.ObserveDuration("dur", 3*time.Millisecond)
 	r.Inc("c", 1)
-	got := r.Series("lat")
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("series: %v", got)
+	if got := r.Summarize("lat"); got.N != 2 || got.Min != 1 || got.Max != 2 || got.Mean != 1.5 {
+		t.Fatalf("series summary: %+v", got)
 	}
-	if d := r.Series("dur"); len(d) != 1 || d[0] != 3 {
-		t.Fatalf("duration series: %v", d)
+	// Durations are recorded in seconds.
+	if d, ok := r.Histogram("dur"); !ok || d.Count != 1 || d.Sum != 0.003 {
+		t.Fatalf("duration series: %+v ok=%v", d, ok)
 	}
 	names := r.Names()
 	if len(names) != 3 || names[0] != "c" || names[1] != "dur" || names[2] != "lat" {
 		t.Fatalf("names: %v", names)
 	}
-	// Series returns a copy.
-	got[0] = 99
-	if r.Series("lat")[0] == 99 {
-		t.Fatal("Series exposes internal slice")
+	// Non-finite samples are dropped, not counted.
+	r.Observe("lat", math.NaN())
+	r.Observe("lat", math.Inf(1))
+	if got := r.Summarize("lat"); got.N != 2 || got.Max != 2 {
+		t.Fatalf("non-finite samples observed: %+v", got)
 	}
 }
 
@@ -95,35 +101,32 @@ func TestConcurrentAccess(t *testing.T) {
 	if r.Count("c") != 8000 {
 		t.Fatalf("count: %d", r.Count("c"))
 	}
-	// The reservoir is bounded: every sample is counted in the histogram,
-	// but only the most recent ReservoirSize survive as raw samples.
-	if got := len(r.Series("s")); got != ReservoirSize {
-		t.Fatalf("series len: %d, want %d", got, ReservoirSize)
-	}
 	h, ok := r.Histogram("s")
 	if !ok || h.Count != 8000 {
 		t.Fatalf("histogram count: %+v ok=%v", h, ok)
 	}
+	if got := r.Summarize("s"); got.N != 8000 || got.Min != 0 || got.Max != 999 {
+		t.Fatalf("summary: %+v", got)
+	}
 }
 
+// TestHistogramBounded pins the snapshot layout and that a warm series
+// takes every further observation without allocating: memory follows the
+// value range, not the number of observations.
 func TestHistogramBounded(t *testing.T) {
 	r := NewRegistry()
-	for i := 0; i < 3*ReservoirSize; i++ {
+	const n = 1536
+	for i := 0; i < n; i++ {
 		r.Observe("h", float64(i))
 	}
-	s := r.Series("h")
-	if len(s) != ReservoirSize {
-		t.Fatalf("reservoir len: %d", len(s))
-	}
-	// Oldest-first sliding window of the most recent observations.
-	if s[0] != float64(2*ReservoirSize) || s[len(s)-1] != float64(3*ReservoirSize-1) {
-		t.Fatalf("window: first=%v last=%v", s[0], s[len(s)-1])
+	if allocs := testing.AllocsPerRun(1000, func() { r.Observe("h", 700) }); allocs != 0 {
+		t.Fatalf("warm Observe allocates %v times per call", allocs)
 	}
 	h, ok := r.Histogram("h")
 	if !ok {
 		t.Fatal("missing histogram")
 	}
-	if h.Count != int64(3*ReservoirSize) || h.Min != 0 || h.Max != float64(3*ReservoirSize-1) {
+	if h.Count != n+1001 || h.Min != 0 || h.Max != n-1 {
 		t.Fatalf("snapshot: %+v", h)
 	}
 	var total int64
@@ -137,6 +140,9 @@ func TestHistogramBounded(t *testing.T) {
 		t.Fatalf("bucket layout: %d counts for %d bounds", len(h.Counts), len(h.Bounds))
 	}
 	// 0 lands in the first bucket (le 1e-6); huge values overflow to +Inf.
+	if h.Counts[0] != 1 {
+		t.Fatalf("zero bucket: %+v", h.Counts)
+	}
 	r.Observe("inf", 1e12)
 	hi, _ := r.Histogram("inf")
 	if hi.Counts[len(hi.Counts)-1] != 1 {
@@ -145,9 +151,90 @@ func TestHistogramBounded(t *testing.T) {
 	if _, ok := r.Histogram("missing"); ok {
 		t.Fatal("missing series should not have a histogram")
 	}
-	all := r.Histograms()
-	if len(all) != 2 || all["h"].Count != h.Count {
-		t.Fatalf("Histograms(): %+v", all)
+}
+
+// A registry summary covers the series' whole lifetime: a burst of small
+// values after a long run of large ones must not pull the median down.
+func TestRegistrySummarizeLifetime(t *testing.T) {
+	r := NewRegistry()
+	var all []float64
+	for i := 0; i < 10000; i++ {
+		r.Observe("lat", 100)
+		all = append(all, 100)
+	}
+	for i := 0; i < 600; i++ {
+		r.Observe("lat", 1)
+		all = append(all, 1)
+	}
+	got, want := r.Summarize("lat"), Summarize(all)
+	h, _ := r.Histogram("lat")
+	if got.N != 10600 || int64(got.N) != h.Count {
+		t.Fatalf("N %d, histogram count %d, want 10600", got.N, h.Count)
+	}
+	if math.Abs(got.P50-want.P50) > sketch.DefaultAlpha*want.P50 {
+		t.Fatalf("p50 %v, want within %v of %v", got.P50, sketch.DefaultAlpha, want.P50)
+	}
+}
+
+// TestRegistryMatchesExactSummarize checks the sketch-backed registry against
+// the exact reference on random inputs: exact count and extremes, quantiles
+// within sketch.DefaultAlpha of the exact ones, and bucket counts that put
+// every value in its exact bucket.
+func TestRegistryMatchesExactSummarize(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	// nearBound reports whether v is within alpha of a bucket bound, where
+	// the sketch representative may fall on the bound's other side.
+	nearBound := func(v float64) bool {
+		for _, b := range DefaultBuckets {
+			if math.Abs(v-b) <= sketch.DefaultAlpha*b {
+				return true
+			}
+		}
+		return false
+	}
+	for trial := 0; trial < 30; trial++ {
+		r := NewRegistry()
+		n := 1 + rng.Intn(3000)
+		if trial%3 == 0 {
+			n = 1 + rng.Intn(5) // interpolation between few, far-apart samples
+		}
+		vals := make([]float64, 0, n)
+		for len(vals) < n {
+			var v float64
+			switch rng.Intn(3) {
+			case 0:
+				v = math.Exp(rng.Float64()*20 - 12) // durations in seconds, µs to minutes
+			case 1:
+				v = float64(rng.Intn(8)) // probe depths
+			default:
+				v = rng.Float64()
+			}
+			if nearBound(v) {
+				continue
+			}
+			vals = append(vals, v)
+			r.Observe("x", v)
+		}
+		got, want := r.Summarize("x"), Summarize(vals)
+		if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
+			t.Fatalf("trial %d: summary %+v, want %+v", trial, got, want)
+		}
+		if math.Abs(got.Mean-want.Mean) > 1e-9*want.Mean || math.Abs(got.Stddev-want.Stddev) > 1e-6*want.Stddev+1e-12 {
+			t.Fatalf("trial %d: mean/stddev %v/%v, want %v/%v", trial, got.Mean, got.Stddev, want.Mean, want.Stddev)
+		}
+		for _, q := range [][2]float64{{got.P50, want.P50}, {got.P95, want.P95}, {got.P99, want.P99}} {
+			if math.Abs(q[0]-q[1]) > sketch.DefaultAlpha*q[1]+1e-9 {
+				t.Fatalf("trial %d: quantile %v, want within %v of %v (got %+v, want %+v)", trial, q[0], sketch.DefaultAlpha, q[1], got, want)
+			}
+		}
+		h, _ := r.Histogram("x")
+		exact := make([]int64, len(DefaultBuckets)+1)
+		for _, v := range vals {
+			exact[sort.SearchFloat64s(DefaultBuckets, v)]++
+		}
+		if !reflect.DeepEqual(h.Counts, exact) {
+			t.Fatalf("trial %d: bucket counts %v, want %v", trial, h.Counts, exact)
+		}
 	}
 }
 

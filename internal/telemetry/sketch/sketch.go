@@ -218,15 +218,10 @@ func (s *Sketch) Merge(o *Sketch) {
 	} else {
 		// Mixed-alpha path: re-insert o's bucket representatives count-
 		// weighted (compounds the two error bounds), then restore the exact
-		// sum the representatives approximated.
+		// sum the representatives approximated. The representatives are
+		// clamped into o's finite extremes, so none overflows and is dropped.
 		sum := s.sum + o.sum
-		s.total += o.zero
-		s.zero += o.zero
-		for i, c := range o.counts {
-			if c > 0 {
-				s.InsertN(o.estimate(o.offset+i), c)
-			}
-		}
+		o.Buckets(s.InsertN)
 		s.sum = sum
 	}
 	// Exact extremes survive the merge; InsertN must not widen them with a
@@ -273,6 +268,27 @@ func (s *Sketch) Quantile(q float64) float64 {
 		v = s.max
 	}
 	return v
+}
+
+// Buckets visits the sketch's populated buckets in ascending value order:
+// the zero bucket first, then each non-empty log bucket, passing the
+// bucket's representative value (clamped into [Min, Max]) and its count.
+// It is how a fixed-bound histogram layout is rendered from the sketch;
+// every representative is within relative error Alpha of the values it
+// stands for.
+func (s *Sketch) Buckets(visit func(v float64, n uint64)) {
+	if s.total == 0 {
+		return
+	}
+	clamp := func(v float64) float64 { return min(max(v, s.min), s.max) }
+	if s.zero > 0 {
+		visit(clamp(0), s.zero)
+	}
+	for i, c := range s.counts {
+		if c > 0 {
+			visit(clamp(s.estimate(s.offset+i)), c)
+		}
+	}
 }
 
 // Reset empties the sketch in place, keeping the bucket window's capacity so
@@ -326,14 +342,19 @@ func (s *Sketch) Encode() Encoded {
 
 // Decode rebuilds a sketch from its encoded form. A malformed encoding — an
 // alpha below the floor New clamps to, a count mismatch, counts whose sum
-// overflows, or a bucket window outside the range finite values above the
-// zero threshold can reach at the encoded alpha — yields an empty sketch at
-// the clamped alpha rather than a corrupt one (a hostile Offset or alpha
-// would otherwise make the next Merge or Insert grow the window without
-// bound).
+// overflows, a bucket window outside the range finite values above the
+// zero threshold can reach at the encoded alpha, or extremes and sum that no
+// finite input produces (non-finite, or Min above Max) — yields an empty
+// sketch at the clamped alpha rather than a corrupt one (a hostile Offset or
+// alpha would otherwise make the next Merge or Insert grow the window without
+// bound, and a NaN Min would poison every sketch it is merged into). An
+// empty encoding decodes to the empty sketch whatever its extremes say.
 func Decode(e Encoded) *Sketch {
 	s := New(e.Alpha)
-	if !(e.Alpha >= minAlpha) {
+	if !(e.Alpha >= minAlpha) || e.Total == 0 {
+		return s
+	}
+	if !finite(e.Min) || !finite(e.Max) || !finite(e.Sum) || e.Min > e.Max {
 		return s
 	}
 	var sum uint64
@@ -358,3 +379,5 @@ func Decode(e Encoded) *Sketch {
 	s.min, s.max, s.sum = e.Min, e.Max, e.Sum
 	return s
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -384,5 +385,152 @@ func TestDecodeRejectsWrappingCounts(t *testing.T) {
 	e = Encoded{Alpha: DefaultAlpha, Offset: 0, Counts: []uint64{2}, Zero: math.MaxUint64, Total: 1, Min: 0, Max: 1, Sum: 1}
 	if d := Decode(e); d.Count() != 0 {
 		t.Fatalf("wrapping zero count decoded to count %d, want 0", d.Count())
+	}
+}
+
+// Extremes and sum no finite input produces decode to an empty sketch, so a
+// forged summary cannot report a -Inf quantile or poison the Min of the
+// sketch it is merged into.
+func TestDecodeRejectsNonFiniteExtremes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, e := range []Encoded{
+		{Alpha: DefaultAlpha, Counts: []uint64{3}, Total: 3, Min: nan, Max: -inf, Sum: nan},
+		{Alpha: DefaultAlpha, Counts: []uint64{3}, Total: 3, Min: 1, Max: inf, Sum: 3},
+		{Alpha: DefaultAlpha, Counts: []uint64{3}, Total: 3, Min: 1, Max: 1, Sum: inf},
+		{Alpha: DefaultAlpha, Counts: []uint64{3}, Total: 3, Min: 2, Max: 1, Sum: 3},
+	} {
+		d := Decode(e)
+		if d.Count() != 0 {
+			t.Fatalf("%+v: decoded count %d, want an empty sketch", e, d.Count())
+		}
+		live := New(DefaultAlpha)
+		live.Insert(0.5)
+		live.Insert(2)
+		live.Merge(d)
+		if live.Min() != 0.5 || live.Max() != 2 || live.Avg() != 1.25 {
+			t.Fatalf("%+v: merge changed the receiver: min %v max %v avg %v", e, live.Min(), live.Max(), live.Avg())
+		}
+	}
+	// An empty encoding carries no extremes worth keeping.
+	d := Decode(Encoded{Alpha: DefaultAlpha, Min: nan, Max: nan, Sum: 5})
+	d.Insert(1)
+	if d.Min() != 1 || d.Sum() != 1 {
+		t.Fatalf("empty encoding leaked state: min %v sum %v", d.Min(), d.Sum())
+	}
+}
+
+func TestBucketsWalk(t *testing.T) {
+	s := New(DefaultAlpha)
+	if s.Buckets(func(float64, uint64) { t.Fatal("empty sketch visited a bucket") }); t.Failed() {
+		return
+	}
+	vals := []float64{0, 0, 0.5, 3, 3, 3, 1000}
+	for _, v := range vals {
+		s.Insert(v)
+	}
+	var got []float64
+	var total uint64
+	s.Buckets(func(v float64, n uint64) {
+		if len(got) > 0 && v <= got[len(got)-1] {
+			t.Fatalf("bucket %v after %v: not ascending", v, got[len(got)-1])
+		}
+		got = append(got, v)
+		total += n
+	})
+	if total != s.Count() || len(got) != 4 {
+		t.Fatalf("walk visited %d buckets holding %d values, want 4 holding %d", len(got), total, s.Count())
+	}
+	if got[0] != 0 || got[len(got)-1] != 1000 {
+		t.Fatalf("walk ends %v..%v, want the zero bucket first and the clamped max last", got[0], got[len(got)-1])
+	}
+	for i, want := range []float64{0.5, 3} {
+		if math.Abs(got[i+1]-want) > DefaultAlpha*want {
+			t.Fatalf("bucket %d representative %v, want within alpha of %v", i+1, got[i+1], want)
+		}
+	}
+}
+
+// fuzzSeeds are the encodings of sketches shaped like the ones summaries and
+// snapshots carry: utilization fractions with idle zeros, heavy-tailed
+// latencies and a coarse mixed-alpha sketch.
+func fuzzSeeds() []Encoded {
+	rng := rand.New(rand.NewSource(5))
+	util, lat, coarse := New(DefaultAlpha), New(DefaultAlpha), New(0.05)
+	for i := 0; i < 500; i++ {
+		if i%4 == 0 {
+			util.Insert(0)
+		} else {
+			util.Insert(rng.Float64())
+		}
+		lat.Insert(math.Exp(rng.Float64()*12 - 6))
+		coarse.Insert(float64(rng.Intn(1000)))
+	}
+	return []Encoded{util.Encode(), lat.Encode(), coarse.Encode(), New(DefaultAlpha).Encode()}
+}
+
+// putCounts and getCounts carry Encoded.Counts through the fuzzer's byte
+// slice as a sequence of uvarints.
+func putCounts(counts []uint64) []byte {
+	var b []byte
+	for _, c := range counts {
+		b = binary.AppendUvarint(b, c)
+	}
+	return b
+}
+
+func getCounts(b []byte) []uint64 {
+	var out []uint64
+	for len(b) > 0 {
+		c, n := binary.Uvarint(b)
+		if n <= 0 {
+			break
+		}
+		out = append(out, c)
+		b = b[n:]
+	}
+	return out
+}
+
+// FuzzDecode drives a wire encoding through everything a receiver does with
+// it: Decode, Insert, Merge into a live sketch, Quantile and Buckets.
+func FuzzDecode(f *testing.F) {
+	for _, e := range fuzzSeeds() {
+		f.Add(e.Alpha, e.Offset, putCounts(e.Counts), e.Zero, e.Total, e.Min, e.Max, e.Sum, 0.75)
+	}
+	f.Fuzz(func(t *testing.T, alpha float64, offset int, counts []byte, zero, total uint64, mn, mx, sum, v float64) {
+		d := Decode(Encoded{Alpha: alpha, Offset: offset, Counts: getCounts(counts), Zero: zero, Total: total, Min: mn, Max: mx, Sum: sum})
+		checkSketch(t, "decoded", d)
+		d.Insert(v)
+		checkSketch(t, "decoded+insert", d)
+		live := New(DefaultAlpha)
+		live.Insert(0)
+		live.Insert(0.25)
+		live.Insert(40)
+		want := live.Count() + d.Count()
+		live.Merge(d)
+		if live.Count() != want {
+			t.Fatalf("merge count %d, want %d", live.Count(), want)
+		}
+		checkSketch(t, "merged", live)
+	})
+}
+
+// checkSketch asserts the invariants every sketch must keep whatever it was
+// decoded from: quantiles finite, inside [Min, Max] and non-decreasing in q,
+// and a bucket walk that accounts for every value.
+func checkSketch(t *testing.T, ctx string, s *Sketch) {
+	t.Helper()
+	prev := math.Inf(-1)
+	for _, q := range []float64{0, 1, 25, 50, 75, 95, 99, 100} {
+		v := s.Quantile(q)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < s.Min() || v > s.Max() || v < prev {
+			t.Fatalf("%s: q%v = %v (previous %v, min %v, max %v)", ctx, q, v, prev, s.Min(), s.Max())
+		}
+		prev = v
+	}
+	var n uint64
+	s.Buckets(func(_ float64, c uint64) { n += c })
+	if n != s.Count() {
+		t.Fatalf("%s: buckets hold %d values, count %d", ctx, n, s.Count())
 	}
 }

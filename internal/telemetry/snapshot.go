@@ -50,9 +50,10 @@ type TierSnapshot struct {
 }
 
 // SeriesSnapshot is one series in snapshot form: the raw samples oldest
-// first, the tier ladder, the watermarks (Gen, Evicted) that preserve
-// cache-key and Truncated semantics across a restore, and the mergeable
-// quantile sketches + moments that preserve the lifetime distribution.
+// first, the tier ladder, the Evicted watermark that preserves Truncated
+// semantics across a restore, and the mergeable quantile sketches + moments
+// that preserve the lifetime distribution. RawCapacity and Gen describe the
+// source store; Restore adopts neither.
 // Sketches ride even the trimmed SnapshotSince form — they are tiny next to
 // the raw window and are precisely what lets a failover adopter answer
 // honest percentiles for history the trim dropped.
@@ -175,27 +176,14 @@ func snapshotSeries(k Key, ser *series, from time.Duration) SeriesSnapshot {
 // were adopted. A series that already exists locally with data at least as
 // new as the snapshot's is left alone (the local copy wins), so restoring
 // into a hub that kept receiving live monitoring — the shared-hub simulation
-// case — is a no-op rather than a rollback. The store-wide generation counter
-// is advanced past every restored generation, preserving the "generations
+// case — is a no-op rather than a rollback. Each restored series gets a
+// fresh generation from this store's counter, preserving the "generations
 // never repeat" contract for view caches.
 func (s *Store) Restore(snap StoreSnapshot) int {
 	restored := 0
-	var maxGen uint64
 	for i := range snap.Series {
-		ss := &snap.Series[i]
-		if ss.Gen > maxGen {
-			maxGen = ss.Gen
-		}
-		if s.restoreSeries(ss) {
+		if s.restoreSeries(&snap.Series[i]) {
 			restored++
-		}
-	}
-	// Lift the sample counter to at least maxGen so future appends draw
-	// generations strictly above every restored one.
-	for {
-		cur := s.samples.Load()
-		if cur >= maxGen || s.samples.CompareAndSwap(cur, maxGen) {
-			break
 		}
 	}
 	return restored
@@ -235,7 +223,9 @@ func (s *Store) restoreSeries(ss *SeriesSnapshot) bool {
 	ser.buf = make([]Sample, len(samples))
 	copy(ser.buf, samples)
 	ser.n = len(samples)
-	ser.gen, ser.evicted, ser.lifeM, ser.evictM = ss.Gen, evicted, ss.LifeM, ss.EvictM
+	// The generation is drawn locally: the wire Gen was issued by another
+	// store's counter and could repeat (or wrap) one this store issues.
+	ser.gen, ser.evicted, ser.lifeM, ser.evictM = s.samples.Add(1), evicted, ss.LifeM, ss.EvictM
 	if ss.Evict != nil {
 		ser.evict = sketch.Decode(*ss.Evict)
 	}

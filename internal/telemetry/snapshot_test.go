@@ -46,9 +46,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	dst := NewStore(cfg)
+	dst.Append("node/n9", "util", 0, 0.5)
+	issued := dst.Generation("node/n9", "util")
 	if got := dst.Restore(snap); got != len(keys) {
 		t.Fatalf("Restore adopted %d series, want %d", got, len(keys))
 	}
+	gens := map[uint64]bool{issued: true}
 
 	horizon := 400 * time.Second
 	for _, k := range keys {
@@ -68,14 +71,17 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(raw, rawRef) {
 			t.Fatalf("%v: restored raw window mismatch:\n got %v\nwant %v", k, raw, rawRef)
 		}
-		// Watermarks, retention metadata and generations survive.
+		// Watermarks and retention metadata survive. The generation is the
+		// destination's own: unique, and above every one it had issued.
 		wantInfo, _ := src.Info(k.Entity, k.Metric)
 		gotInfo, ok := dst.Info(k.Entity, k.Metric)
+		if g := gotInfo.Gen; g <= issued || gens[g] {
+			t.Fatalf("%v: restored generation %d repeats one issued (%v) or is not above %d", k, g, gens, issued)
+		}
+		gens[gotInfo.Gen] = true
+		gotInfo.Gen, wantInfo.Gen = 0, 0
 		if !ok || !reflect.DeepEqual(gotInfo, wantInfo) {
 			t.Fatalf("%v: restored Info mismatch:\n got %+v\nwant %+v", k, gotInfo, wantInfo)
-		}
-		if got, want := dst.Generation(k.Entity, k.Metric), src.Generation(k.Entity, k.Metric); got != want {
-			t.Fatalf("%v: restored generation %d, want %d", k, got, want)
 		}
 	}
 }
@@ -99,13 +105,41 @@ func TestRestoreAdvancesGenerations(t *testing.T) {
 	src := NewStore(StoreConfig{SeriesCapacity: 8, Tiers: NoTiers})
 	fillSeries(src, "node/n1", "util", 6, time.Second)
 	snap := src.Snapshot(nil)
-	restoredGen := src.Generation("node/n1", "util")
 
 	dst := NewStore(StoreConfig{SeriesCapacity: 8, Tiers: NoTiers})
 	dst.Restore(snap)
+	restoredGen := dst.Generation("node/n1", "util")
 	dst.Append("node/n2", "util", time.Second, 0.5)
 	if g := dst.Generation("node/n2", "util"); g <= restoredGen {
 		t.Fatalf("post-restore append generation %d not above restored generation %d", g, restoredGen)
+	}
+}
+
+// A forged wire generation near the top of the range must not steer the
+// destination's counter: the restored series and every later append still
+// get generations that are non-zero and never issued before.
+func TestRestoreIgnoresForgedGeneration(t *testing.T) {
+	src := NewStore(StoreConfig{SeriesCapacity: 8, Tiers: NoTiers})
+	fillSeries(src, "node/n1", "util", 4, time.Second)
+	snap := src.Snapshot(nil)
+	snap.Series[0].Gen = math.MaxUint64
+
+	dst := NewStore(StoreConfig{SeriesCapacity: 8, Tiers: NoTiers})
+	dst.Append("node/n0", "util", time.Second, 0.5)
+	seen := map[uint64]bool{dst.Generation("node/n0", "util"): true}
+	dst.Restore(snap)
+	if g := dst.Generation("node/n1", "util"); g == math.MaxUint64 || seen[g] {
+		t.Fatalf("restored generation %d adopted the forged one or repeats %v", g, seen)
+	} else {
+		seen[g] = true
+	}
+	for i, ent := range []string{"node/n2", "node/n3"} {
+		dst.Append(ent, "util", time.Duration(i+2)*time.Second, 0.5)
+		g := dst.Generation(ent, "util")
+		if g == 0 || seen[g] {
+			t.Fatalf("append after restore got generation %d (issued: %v)", g, seen)
+		}
+		seen[g] = true
 	}
 }
 
